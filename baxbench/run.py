@@ -1,6 +1,6 @@
 """Run one benchmark workload against baxlab and print its metrics.
 
-    python3 baxbench/run.py --workload bigperm-n500 --seed 1 --seconds 30 --trace 0
+    python3 baxbench/run.py --workload bigperm-n500 --seed 1 --seconds 20 --trace 0
 
 Run from the root of a baxlab checkout; the library is imported from its
 ``src`` directory.  ``--trace 0`` measures the end-to-end metrics: whole
@@ -206,7 +206,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"input seed (default {DEFAULT_SEED})")
-    parser.add_argument("--seconds", type=float, default=30.0, help="how long the untraced run measures")
+    parser.add_argument("--seconds", type=float, default=20.0, help="how long the untraced run measures")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
