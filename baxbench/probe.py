@@ -4,7 +4,8 @@
 
 Reads permutations, one JSON array a line, from standard input first; then
 times importing <module> from <src dir> and loading the permutations through
-``baxlab.jsonio`` the way ``baxlab map --perm`` does, and prints the seconds.
+``baxlab.jsonio`` the way ``baxlab map --perm`` does, and prints the seconds
+of CPU time this took.
 """
 import json
 import sys
@@ -14,13 +15,13 @@ import time
 def main() -> None:
     src, module = sys.argv[1], sys.argv[2]
     lines = sys.stdin.read().splitlines()
-    started = time.perf_counter()
+    started = time.process_time()
     sys.path.insert(0, src)
     __import__(module)
     from baxlab import jsonio
 
     perms = [jsonio.perm_from_obj(json.loads(line)) for line in lines]
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     print(f"{elapsed!r} {len(perms)}")
 
 

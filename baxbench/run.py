@@ -1,6 +1,6 @@
 """Run one benchmark workload against baxlab and print its metrics.
 
-    python3 baxbench/run.py --workload bigperm-n500 --seed 1 --seconds 20 --trace 0
+    python3 baxbench/run.py --workload bigperm-n500 --seed 1 --seconds 50 --trace 0
 
 Run from the root of a baxlab checkout; the library is imported from its
 ``src`` directory.  ``--trace 0`` measures the end-to-end metrics: whole
@@ -30,7 +30,12 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
 DEFAULT_SEED = 1
-SETUP_PROBES = 21
+SETUP_PROBES = 7  # before the first round and after each round
+SETUP_POLICY = (
+    "median of 7 fresh-interpreter probes before the first round and 7 after each round, "
+    "after one untimed warm-up probe; bytecode cached"
+)
+PYCACHE = ROOT / ".bench_build" / "pycache"
 
 sys.path.insert(0, str(HERE))
 
@@ -61,35 +66,34 @@ def import_baxlab() -> None:
         raise BenchError(f"imported baxlab from {baxlab.__file__}, not from {SRC}")
 
 
-def setup_samples(workload) -> list[float]:
-    """Seconds to import baxlab and load the inputs, each in a fresh interpreter."""
-    samples = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "probe.py"), str(SRC), workload.entry_module],
-            input=workload.probe_input(),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+class SetupProbe:
+    """Times baxlab's set-up, each sample in a fresh interpreter.
+
+    Set-up is timed as a user pays for it once baxlab has run before: with
+    its bytecode cached.  An untimed first probe writes the bytecode to
+    PYCACHE; the timed probes read it from there.  ``-E`` makes the probes
+    ignore PYTHON* variables of the caller, PYTHONDONTWRITEBYTECODE among
+    them, so every run sets up the same way.  Samples are taken in batches
+    between the rounds, so that their median spans the whole run.
+    """
+
+    def __init__(self, workload) -> None:
+        self.cmd = [
+            sys.executable, "-E", "-X", f"pycache_prefix={PYCACHE}",
+            str(HERE / "probe.py"), str(SRC), workload.entry_module,
+        ]
+        self.input = workload.probe_input()
+        self.samples: list[float] = []
+        self._probe()  # warm-up
+
+    def _probe(self) -> float:
+        proc = subprocess.run(self.cmd, input=self.input, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise BenchError(f"set-up probe failed: {proc.stderr.strip()}")
-        samples.append(float(proc.stdout.split()[0]))
-    return samples
+        return float(proc.stdout.split()[0])
 
-
-def machine_ms() -> float:
-    """Median time of a fixed pure-Python loop, in ms: how fast this machine
-    ran Python at that moment.  Recorded beside the samples, so that two
-    records can be told apart by machine speed; never part of a metric."""
-    times = []
-    for _ in range(5):
-        started = time.perf_counter()
-        acc = 0
-        for i in range(200_000):
-            acc += i * i % 7
-        times.append((time.perf_counter() - started) * 1000.0)
-    return statistics.median(times)
+    def batch(self) -> None:
+        self.samples.extend(self._probe() for _ in range(SETUP_PROBES))
 
 
 class Tally:
@@ -99,62 +103,78 @@ class Tally:
         self.errors: list[str] = []
         self.failures: list[str] = []
         self.rounds: list[float] = []
-        self.times: dict[int, list[float]] = {}  # operation index -> its times
+        self.times: dict[int, list[float]] = {}  # operation index -> its CPU times
+        self.wall: dict[int, list[float]] = {}  # operation index -> its wall times
 
     def run_round(self, workload, ops) -> float:
         """Time each operation, then check its output; returns the round's
-        time, the sum of its operations' times."""
+        time, the sum of its operations' CPU times."""
         total = 0.0
         for index, op in enumerate(ops):
             self.attempted += 1
-            started = time.perf_counter()
+            wall = time.perf_counter()
+            started = time.process_time()
             try:
                 output = op()
             except Exception as exc:  # counted as a failed operation
                 self.failed += 1
                 self.failures.append(f"operation {index}: {exc!r}")
                 continue
-            elapsed = time.perf_counter() - started
+            elapsed = time.process_time() - started
+            wall = time.perf_counter() - wall
             total += elapsed
             self.times.setdefault(index, []).append(elapsed)
-            self.errors.extend(workload.check(index, output))
+            self.wall.setdefault(index, []).append(wall)
+            try:
+                self.errors.extend(workload.check(index, output))
+            except Exception as exc:  # malformed output: wrong, not a crash
+                self.errors.append(f"operation {index}: checking its output raised {exc!r}")
         self.errors.extend(workload.round_errors())
         self.rounds.append(total)
         return total
 
 
+def percentiles(values: list[float]) -> tuple[float, float]:
+    """p50 and p90 of values; a run in which fewer than two operations
+    succeeded still reports, with what it has."""
+    if len(values) < 2:
+        return (values[0], values[0]) if values else (0.0, 0.0)
+    return statistics.median(values), statistics.quantiles(values, n=10, method="inclusive")[8]
+
+
 def end_to_end(workload, seconds: float, tally: Tally) -> tuple[dict, dict]:
-    setup = setup_samples(workload)
+    setup = SetupProbe(workload)
+    setup.batch()
     workload.load()
     ops = workload.operations()
     # Whole rounds only; another round starts while it would end nearer to
     # the requested length than stopping now would.
     started = time.perf_counter()
-    machine = []
     while True:
         tally.run_round(workload, ops)
-        machine.append(machine_ms())
+        setup.batch()
         elapsed = time.perf_counter() - started
         last = elapsed / len(tally.rounds)
         if len(tally.rounds) >= workload.min_rounds and elapsed + last / 2 >= seconds:
             break
-    # An operation's time is the best of its repeats: on a shared machine the
-    # slower readings measure the neighbours' load, which drifts by tens of
-    # percent over tens of seconds.
+    # An operation's time is the best of its repeats, in CPU time of the
+    # process: time spent descheduled is left out, and of the repeats the
+    # fastest is the one least slowed by neighbours on a shared core.
     best = [min(ts) for ts in tally.times.values()]
-    p90 = statistics.quantiles(best, n=10, method="inclusive")[8]
+    p50, p90 = percentiles(best)
     metrics = {
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(setup.samples),
         "wall_s": sum(best),
-        "latency_p50_ms": statistics.median(best) * 1000.0,
+        "latency_p50_ms": p50 * 1000.0,
         "latency_p90_ms": p90 * 1000.0,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     samples = {
-        "setup_s": setup,
+        "setup_policy": SETUP_POLICY,
+        "setup_s": setup.samples,
         "round_s": tally.rounds,
-        "machine_ms": machine,
         "operation_s": list(tally.times.values()),
+        "operation_wall_s": list(tally.wall.values()),
         "operations": len(best),
         "operations_above_p90": sum(1 for x in best if x > p90),
     }
@@ -172,7 +192,7 @@ def per_layer(workload, tally: Tally) -> tuple[dict, dict]:
     after = tally.run_round(workload, ops)
     metrics = tracer.metrics()
     metrics["trace.overhead_s"] = traced - (before + after) / 2
-    return metrics, {"untraced_wall_s": [before, after], "traced_wall_s": traced}
+    return metrics, {"untraced_round_s": [before, after], "traced_round_s": traced}
 
 
 def git_revision() -> str:
@@ -206,7 +226,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"input seed (default {DEFAULT_SEED})")
-    parser.add_argument("--seconds", type=float, default=20.0, help="how long the untraced run measures")
+    parser.add_argument("--seconds", type=float, default=50.0, help="how long the untraced run measures")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 

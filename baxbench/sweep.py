@@ -7,9 +7,7 @@ Runs ``run.py`` once per (seed, workload), the workloads interleaved within
 each seed, with ``run_seconds`` from BENCHMARK.json.  For each end-to-end
 metric it prints the median of the runs and the spread: the distance between
 the first and third quartiles (``statistics.quantiles(values, n=4)``) as a
-share of the median, next to the metric's bound, and the same figures for
-``machine_ms``, the speed of a fixed pure-Python loop recorded during each
-run, which shows how much of a spread is the machine.  This is the command that
+share of the median, next to the metric's bound.  This is the command that
 regenerates the reference figures in README.md; the full table is also
 written to baxbench/results/sweep.json.
 """
@@ -47,13 +45,10 @@ def main() -> int:
                 print(proc.stderr, file=sys.stderr)
                 return 1
             result = json.loads(proc.stdout.strip().splitlines()[-1])
-            record = json.loads((HERE / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
-            result["machine_ms"] = statistics.median(record["samples"]["machine_ms"])
             runs[workload].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"seed {seed} {workload}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {values} "
-                  f"machine_ms={result['machine_ms']:.2f}", flush=True)
+                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
     table = {}
     print(f"\n{'workload':15s} {'metric':16s} {'median':>12s} {'spread':>8s} {'bound':>6s}")
@@ -68,10 +63,6 @@ def main() -> int:
                 "values": values, "median": median, "spread": spread, "bound": metric["bound"],
             }
             print(f"{workload:15s} {name:16s} {median:12.4f} {spread:8.3f} {metric['bound']:6.2f}")
-        machine = [r["machine_ms"] for r in results]
-        q1, _, q3 = statistics.quantiles(machine, n=4) if len(machine) > 1 else (0.0,) * 3
-        print(f"{workload:15s} {'(machine_ms)':16s} {statistics.median(machine):12.4f} "
-              f"{(q3 - q1) / statistics.median(machine):8.3f}")
         shares = {r["failed"] / r["attempted"] for r in results}
         print(f"{workload:15s} failed share {sorted(shares)}, all correct: {all(r['correct'] for r in results)}")
     (HERE / "results").mkdir(exist_ok=True)

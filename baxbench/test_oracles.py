@@ -1,4 +1,4 @@
-"""Tests of the benchmark's own oracles and input generator.
+"""Tests of the benchmark's own oracles, input generator and tally.
 
     python3 -m pytest baxbench -q
 
@@ -178,3 +178,17 @@ def test_poly_check_uses_the_brute_force_sum():
     true3 = [(a, b, c) for (a, b), c in sorted(oracles.brute_lhs(3).items())]
     assert w.check(2, Poly(true3)) == []
     assert w.check(2, Poly(true3[:-1]))
+
+
+def test_a_check_that_raises_marks_the_run_wrong_instead_of_stopping_it():
+    import run
+
+    class Garbled(PolySweep):
+        def check(self, index, output):
+            return json.loads(output)  # not JSON: raises
+
+    tally = run.Tally()
+    tally.run_round(Garbled(seed=1), [lambda: "<html>", lambda: 1 / 0])
+    assert (tally.attempted, tally.failed, len(tally.errors)) == (2, 1, 1)
+    assert run.percentiles([]) == (0.0, 0.0)
+    assert run.percentiles([0.5]) == (0.5, 0.5)
