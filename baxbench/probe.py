@@ -5,11 +5,15 @@
 Reads permutations, one JSON array a line, from standard input first; then
 times importing <module> from <src dir> and loading the permutations through
 ``baxlab.jsonio`` the way ``baxlab map --perm`` does, and prints the seconds
-of CPU time this took.
+of CPU time this took.  Then it times calibration units (see
+calibration.py) and prints their median, which scales the set-up time to the
+reference speed of the box.
 """
 import json
 import sys
 import time
+
+UNITS = 5
 
 
 def main() -> None:
@@ -22,7 +26,10 @@ def main() -> None:
 
     perms = [jsonio.perm_from_obj(json.loads(line)) for line in lines]
     elapsed = time.process_time() - started
-    print(f"{elapsed!r} {len(perms)}")
+    import calibration  # after the timed part: not baxlab's set-up
+
+    units = sorted(calibration.unit() for _ in range(UNITS))
+    print(f"{elapsed!r} {len(perms)} {units[UNITS // 2]!r}")
 
 
 if __name__ == "__main__":

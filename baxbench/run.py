@@ -4,9 +4,11 @@
 
 Run from the root of a baxlab checkout; the library is imported from its
 ``src`` directory.  ``--trace 0`` measures the end-to-end metrics: whole
-rounds of the workload's operations until ``--seconds`` have passed.
-``--trace 1`` runs an untraced, a traced and another untraced round and
-reports the per-layer metrics.  Every output is checked against the oracles.
+rounds of the workload's operations until ``--seconds`` have passed, each
+operation timed in CPU time at the reference speed of the box (see
+calibration.py).  ``--trace 1`` runs an untraced, a traced and another
+untraced round, in plain CPU time, and reports the per-layer metrics.  Every
+output is checked against the oracles.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A fuller record,
@@ -33,12 +35,19 @@ DEFAULT_SEED = 1
 SETUP_PROBES = 7  # before the first round and after each round
 SETUP_POLICY = (
     "median of 7 fresh-interpreter probes before the first round and 7 after each round, "
-    "after one untimed warm-up probe; bytecode cached"
+    "after one untimed warm-up probe; bytecode cached; each probe's CPU time scaled by "
+    "the median of 5 calibration units timed right after it"
+)
+TIMING_POLICY = (
+    "CPU time of each operation less the calibration handler's, scaled by "
+    "REFERENCE_UNIT_S over the median calibration unit timed during it; "
+    "an operation's time is the best of its repeats"
 )
 PYCACHE = ROOT / ".bench_build" / "pycache"
 
 sys.path.insert(0, str(HERE))
 
+import calibration  # noqa: E402
 from tracing import Tracer, metric_units  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -83,17 +92,23 @@ class SetupProbe:
             str(HERE / "probe.py"), str(SRC), workload.entry_module,
         ]
         self.input = workload.probe_input()
-        self.samples: list[float] = []
+        self.samples: list[float] = []  # scaled to the reference speed
+        self.raw: list[float] = []  # CPU seconds as measured
         self._probe()  # warm-up
 
-    def _probe(self) -> float:
+    def _probe(self) -> tuple[float, float]:
+        """One probe's CPU seconds, as measured and scaled."""
         proc = subprocess.run(self.cmd, input=self.input, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise BenchError(f"set-up probe failed: {proc.stderr.strip()}")
-        return float(proc.stdout.split()[0])
+        elapsed, _, unit = proc.stdout.split()
+        return float(elapsed), calibration.scaled(float(elapsed), [float(unit)])
 
     def batch(self) -> None:
-        self.samples.extend(self._probe() for _ in range(SETUP_PROBES))
+        for _ in range(SETUP_PROBES):
+            raw, scaled = self._probe()
+            self.raw.append(raw)
+            self.samples.append(scaled)
 
 
 class Tally:
@@ -103,28 +118,37 @@ class Tally:
         self.errors: list[str] = []
         self.failures: list[str] = []
         self.rounds: list[float] = []
-        self.times: dict[int, list[float]] = {}  # operation index -> its CPU times
+        self.times: dict[int, list[float]] = {}  # operation index -> its times
+        self.cpu: dict[int, list[float]] = {}  # operation index -> its CPU times as measured
         self.wall: dict[int, list[float]] = {}  # operation index -> its wall times
+        self.unit: dict[int, list[float]] = {}  # operation index -> median calibration unit
 
-    def run_round(self, workload, ops) -> float:
+    def run_round(self, workload, ops, calibrated: bool = True) -> float:
         """Time each operation, then check its output; returns the round's
-        time, the sum of its operations' CPU times."""
+        time, the sum of its operations' times.  These are scaled to the
+        reference speed, or with ``calibrated=False`` plain CPU times."""
         total = 0.0
         for index, op in enumerate(ops):
             self.attempted += 1
             wall = time.perf_counter()
-            started = time.process_time()
             try:
-                output = op()
+                if calibrated:
+                    output, cpu, elapsed, units = calibration.timed(op)
+                else:
+                    started = time.process_time()
+                    output = op()
+                    cpu = elapsed = time.process_time() - started
+                    units = [calibration.REFERENCE_UNIT_S]
             except Exception as exc:  # counted as a failed operation
                 self.failed += 1
                 self.failures.append(f"operation {index}: {exc!r}")
                 continue
-            elapsed = time.process_time() - started
             wall = time.perf_counter() - wall
             total += elapsed
             self.times.setdefault(index, []).append(elapsed)
+            self.cpu.setdefault(index, []).append(cpu)
             self.wall.setdefault(index, []).append(wall)
+            self.unit.setdefault(index, []).append(statistics.median(units))
             try:
                 self.errors.extend(workload.check(index, output))
             except Exception as exc:  # malformed output: wrong, not a crash
@@ -158,8 +182,9 @@ def end_to_end(workload, seconds: float, tally: Tally) -> tuple[dict, dict]:
         if len(tally.rounds) >= workload.min_rounds and elapsed + last / 2 >= seconds:
             break
     # An operation's time is the best of its repeats, in CPU time of the
-    # process: time spent descheduled is left out, and of the repeats the
-    # fastest is the one least slowed by neighbours on a shared core.
+    # process at the reference speed: time spent descheduled is left out,
+    # the speed of the box is divided out, and of the repeats the fastest is
+    # the one least disturbed by what the calibration does not see.
     best = [min(ts) for ts in tally.times.values()]
     p50, p90 = percentiles(best)
     metrics = {
@@ -171,10 +196,15 @@ def end_to_end(workload, seconds: float, tally: Tally) -> tuple[dict, dict]:
     }
     samples = {
         "setup_policy": SETUP_POLICY,
+        "timing_policy": TIMING_POLICY,
+        "reference_unit_s": calibration.REFERENCE_UNIT_S,
         "setup_s": setup.samples,
+        "setup_cpu_s": setup.raw,
         "round_s": tally.rounds,
         "operation_s": list(tally.times.values()),
+        "operation_cpu_s": list(tally.cpu.values()),
         "operation_wall_s": list(tally.wall.values()),
+        "operation_unit_s": list(tally.unit.values()),
         "operations": len(best),
         "operations_above_p90": sum(1 for x in best if x > p90),
     }
@@ -186,10 +216,10 @@ def per_layer(workload, tally: Tally) -> tuple[dict, dict]:
     ops = workload.operations()
     # untraced rounds on both sides of the traced one, so that a drift in
     # machine speed does not read as tracing overhead
-    before = tally.run_round(workload, ops)
+    before = tally.run_round(workload, ops, calibrated=False)
     with Tracer() as tracer:
-        traced = tally.run_round(workload, ops)
-    after = tally.run_round(workload, ops)
+        traced = tally.run_round(workload, ops, calibrated=False)
+    after = tally.run_round(workload, ops, calibrated=False)
     metrics = tracer.metrics()
     metrics["trace.overhead_s"] = traced - (before + after) / 2
     return metrics, {"untraced_round_s": [before, after], "traced_round_s": traced}
