@@ -22,9 +22,8 @@ from .paths import (
     TOP_START,
     LatticePath,
     PathTriple,
-    decode_path,
     encode_set,
-    is_nonintersecting,
+    h_prefix,
     tlp_parameters,
 )
 from .perm import Perm, inverse, is_baxter, stat_profile
@@ -68,50 +67,45 @@ def phi(h: LaguerreHistory) -> PathTriple:
     """Build the path triple determined by a history.
 
     Bottom step i is horizontal iff step i is U or B, top step i iff it is
-    D or B.  The middle path is pinned pointwise: its i-th step starts at the
-    bottom's i-th step start shifted by (-mu_i, +mu_i), and its last vertex
-    is the bottom endpoint shifted by (-1, +1).  If consecutive pinned points
-    do not differ by a unit step the weights violate the increment rules and
-    a :class:`MalformedMiddleError` is raised.
+    D or B.  The middle path is pinned by its H-prefix counts: before step i
+    it has taken 1 + h_bot - mu_i horizontal steps, where h_bot counts the
+    bottom's (so its step i starts mu_i diagonal units up-left of the
+    bottom's), and at the end h_mid = h_bot.  If consecutive counts do not
+    differ by 0 or 1 the weights violate the increment rules and a
+    :class:`MalformedMiddleError` is raised.  The weight bounds
+    1 <= mu_i <= h_i keep h_top <= h_mid <= h_bot, so the triple is disjoint.
     """
     val = validate(h)
     if not val.laguerre_ok:
         raise MalformedHistoryError("weights leave their bounds or word does not close")
-    m = len(h)
-    bottom = LatticePath(BOTTOM_START, "".join("H" if c in "UB" else "V" for c in h.word))
-    top = LatticePath(TOP_START, "".join("H" if c in "DB" else "V" for c in h.word))
-    bverts = bottom.vertices()
-    points = [
-        (bverts[i][0] - h.weights[i], bverts[i][1] + h.weights[i]) for i in range(m)
-    ]
-    points.append((bverts[m][0] - 1, bverts[m][1] + 1))
+    bottom = "".join("H" if c in "UB" else "V" for c in h.word)
+    top = "".join("H" if c in "DB" else "V" for c in h.word)
+    hb = h_prefix(bottom)
+    hm = [1 + b - w for b, w in zip(hb, h.weights)] + [hb[-1]]
     steps = []
-    for i in range(m):
-        dx = points[i + 1][0] - points[i][0]
-        dy = points[i + 1][1] - points[i][1]
-        if (dx, dy) == (1, 0):
-            steps.append("H")
-        elif (dx, dy) == (0, 1):
-            steps.append("V")
-        else:
+    for i in range(len(h)):
+        d = hm[i + 1] - hm[i]
+        if d not in (0, 1):
             raise MalformedMiddleError(
-                f"middle step {i + 1} would jump by ({dx}, {dy}); "
+                f"middle step {i + 1} would jump by ({d}, {1 - d}); "
                 "weights do not satisfy the increment rules"
             )
-    triple = PathTriple(bottom, LatticePath(MIDDLE_START, "".join(steps)), top)
-    assert is_nonintersecting(triple)
-    return triple
+        steps.append("VH"[d])
+    return PathTriple(
+        LatticePath(BOTTOM_START, bottom),
+        LatticePath(MIDDLE_START, "".join(steps)),
+        LatticePath(TOP_START, top),
+    )
 
 
 def phi_inverse(t: PathTriple) -> LaguerreHistory:
     """Recover the history from a triple.
 
     The word is read off the (top, bottom) step pairs; the weight of step i
-    is the horizontal offset between the bottom and middle step starts,
-    cross-checked against the vertical offset.
+    is 1 + h_bot(i) - h_mid(i), the diagonal offset of the middle's i-th
+    vertex from the bottom's.
     """
     tlp_parameters(t)
-    m = t.n - 1
     pair_to_letter = {
         ("V", "H"): "U",
         ("H", "V"): "D",
@@ -119,18 +113,9 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
         ("H", "H"): "B",
     }
     word = "".join(pair_to_letter[(wt, wb)] for wt, wb in zip(t.top.steps, t.bottom.steps))
-    bverts = t.bottom.vertices()
-    mverts = t.middle.vertices()
-    weights = []
-    for i in range(m):
-        dx = bverts[i][0] - mverts[i][0]
-        dy = mverts[i][1] - bverts[i][1]
-        if dx != dy:
-            raise NotInImageError(
-                f"step {i + 1}: middle offset ({dx}, {dy}) from the bottom is not diagonal"
-            )
-        weights.append(dx)
-    h = LaguerreHistory(word, tuple(weights))
+    hb, hm = h_prefix(t.bottom.steps), h_prefix(t.middle.steps)
+    weights = tuple(1 + b - mid for b, mid in zip(hb[:-1], hm))
+    h = LaguerreHistory(word, weights)
     val = validate(h)
     if not val.baxter_ok:
         raise NotInImageError("recovered weights violate the history rules")
@@ -154,40 +139,25 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
 
     The top path of ``gamma_prime`` encodes the descent tops lowered by one;
     the top path of ``psi`` encodes (DT u {p_n}) - {n}.  Shifting the encoded
-    set up by one recovers DT.  Two cases:
+    set up by one and dropping n gives s, whose word is the top word delayed
+    by one step.  Two cases:
 
-    * last top step vertical: n is not a descent top, so p_n = n and the
-      shifted set is already the ``psi`` top.
-    * last top step horizontal: p_n != n is the unknown member to re-insert.
-      It is the unique j outside the shifted set for which the rebuilt top
-      avoids the middle path and starts its j-th step one diagonal unit from
-      the middle's j-th step start (squared distance 2).
+    * last top step vertical: n is not a descent top, so p_n = n and s is
+      already the ``psi`` top.
+    * last top step horizontal: p_n != n is the unknown member j to add to s.
+      The rebuilt top must avoid the middle path (h_top <= h_mid throughout)
+      and start its j-th step one diagonal unit from the middle's (equal
+      counts before step j).  With gap(i) = h_mid(i) - h_s(i), exactly one j
+      qualifies: one past the last zero of gap.  It always exists, since
+      gap >= 0 (h_s(i) = h_top(i - 1) <= h_mid(i)) and gap ends at 1.
     """
-    n, _ = tlp_parameters(t)
-    m = n - 1
-    shifted = {i + 1 for i in decode_path(t.top)}
-    if m == 0 or t.top.steps[-1] == "V":
-        new_top = encode_set(shifted, m, TOP_START)
-        return psi_inverse(PathTriple(t.bottom, t.middle, new_top))
-
-    s = shifted - {n}
-    mverts = t.middle.vertices()
-    mset = frozenset(mverts)
-    candidates = []
-    for j in sorted(set(range(1, n)) - s):
-        cand = encode_set(s | {j}, m, TOP_START)
-        cverts = cand.vertices()
-        if mset & frozenset(cverts):
-            continue
-        dx = mverts[j - 1][0] - cverts[j - 1][0]
-        dy = mverts[j - 1][1] - cverts[j - 1][1]
-        if dx * dx + dy * dy == 2:
-            candidates.append(cand)
-    if len(candidates) != 1:
-        raise NotInImageError(
-            f"{len(candidates)} candidate top paths qualify; expected exactly one"
-        )
-    return psi_inverse(PathTriple(t.bottom, t.middle, candidates[0]))
+    tlp_parameters(t)
+    word = ("V" + t.top.steps)[:-1]
+    if t.top.steps.endswith("H"):
+        gap = [a - b for a, b in zip(h_prefix(t.middle.steps), h_prefix(word))]
+        last_zero = len(gap) - 1 - gap[::-1].index(0)
+        word = word[:last_zero] + "H" + word[last_zero + 1 :]
+    return psi_inverse(PathTriple(t.bottom, t.middle, LatticePath(TOP_START, word)))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

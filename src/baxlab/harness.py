@@ -93,14 +93,6 @@ def _triple_key(t: PathTriple) -> tuple[str, str, str]:
     return (t.bottom.steps, t.middle.steps, t.top.steps)
 
 
-def _key_to_triple_obj(key: tuple[str, str, str]) -> dict:
-    return {
-        "bottom": {"start": [2, 0], "steps": key[0]},
-        "middle": {"start": [1, 1], "steps": key[1]},
-        "top": {"start": [0, 2], "steps": key[2]},
-    }
-
-
 def _perm_json(p: Perm) -> str:
     return json.dumps(perm_to_obj(p))
 
@@ -174,7 +166,8 @@ def _scan(name: str, items: Sequence[Perm], jobs: int) -> str | None:
     if jobs <= 1 or len(items) < 2 * _CHUNK:
         return _scan_chunk((name, list(items)))
     chunks = [list(items[i : i + _CHUNK]) for i in range(0, len(items), _CHUNK)]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         for result in ex.map(_scan_chunk, [(name, c) for c in chunks]):
             if result is not None:
                 return result
@@ -210,14 +203,18 @@ def _suite_bijection(n: int, jobs: int) -> list[Check]:
         if failure is None:
             for k in range(m):
                 enumerated = {_triple_key(t) for t in enumerate_tlp(m, k)}
-                image = set(images.get(k, ()))
-                if image != enumerated:
-                    missing = enumerated - image
-                    extra = image - enumerated
-                    witness = min(missing) if missing else min(extra)
+                image = images.get(k, {})
+                if image.keys() != enumerated:
+                    missing = enumerated - image.keys()
+                    extra = image.keys() - enumerated
+                    if missing:
+                        first = min(missing)
+                        witness = next(t for t in enumerate_tlp(m, k) if _triple_key(t) == first)
+                    else:
+                        witness = gamma(image[min(extra)])
                     failure = (
                         f"k={k}: image misses {len(missing)} triples, adds {len(extra)}; "
-                        f"first: {json.dumps(_key_to_triple_obj(witness))}"
+                        f"first: {_triple_json(witness)}"
                     )
                     break
                 total += len(enumerated)

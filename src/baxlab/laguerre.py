@@ -35,7 +35,9 @@ class LaguerreHistory:
     def __post_init__(self) -> None:
         if set(self.word) - set(LETTERS):
             raise ValueError(f"word must be over {LETTERS!r}: {self.word!r}")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        if not all(isinstance(w, int) and not isinstance(w, bool) for w in self.weights):
+            raise MalformedHistoryError(f"weights must be integers: {self.weights!r}")
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.word) != len(self.weights):
             raise MalformedHistoryError(
                 f"word has {len(self.word)} steps but {len(self.weights)} weights"

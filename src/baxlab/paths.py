@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
 
@@ -19,6 +20,8 @@ class LatticePath:
     steps: str
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in self.start):
+            raise ValueError(f"start coordinates must be integers: {self.start!r}")
         x, y = self.start
         if x < 0 or y < 0:
             raise ValueError(f"start {self.start!r} lies outside the quarter plane")
@@ -36,7 +39,7 @@ class LatticePath:
         )
 
     def vertices(self) -> tuple[Point, ...]:
-        """The len(steps) + 1 visited points, in travel order."""
+        """The len(steps) + 1 visited points, in travel order (for drawing)."""
         x, y = self.start
         out = [(x, y)]
         for c in self.steps:
@@ -93,12 +96,25 @@ class PathTriple:
         return (self.bottom, self.middle, self.top)
 
 
+def h_prefix(steps: str) -> list[int]:
+    """h(i), the number of H steps among the first i steps, for i = 0..len(steps)."""
+    return list(accumulate((c == "H" for c in steps), initial=0))
+
+
 def is_nonintersecting(t: PathTriple) -> bool:
-    """True iff the three vertex sets are pairwise disjoint (endpoints included)."""
-    vb = set(t.bottom.vertices())
-    vm = set(t.middle.vertices())
-    vt = set(t.top.vertices())
-    return not (vb & vm) and not (vb & vt) and not (vm & vt)
+    """True iff the three paths share no vertex (endpoints included).
+
+    The i-th vertices of the bottom, middle and top paths all lie on the
+    anti-diagonal x + y = i + 2, at x = 2 + h_bot(i), 1 + h_mid(i) and
+    h_top(i).  Each x moves by at most one per step, so the paths stay apart
+    exactly when h_top(i) <= h_mid(i) <= h_bot(i) for every i.
+    """
+    return all(
+        ht <= hm <= hb
+        for hb, hm, ht in zip(
+            h_prefix(t.bottom.steps), h_prefix(t.middle.steps), h_prefix(t.top.steps)
+        )
+    )
 
 
 def expected_endpoints(n: int, k: int) -> tuple[Point, Point, Point]:
@@ -127,48 +143,47 @@ def tlp_parameters(t: PathTriple) -> tuple[int, int]:
     return n, k
 
 
-def _step_words(start: Point, length: int, h_count: int, forbidden: frozenset[Point]) -> Iterator[str]:
-    """Step words of the given length and H-count whose path avoids ``forbidden``.
+def _step_words(h_count: int, ceiling: Sequence[int]) -> Iterator[str]:
+    """Step words with ``h_count`` H steps whose prefix counts h(i) never exceed
+    ``ceiling[i]``; the words have len(ceiling) - 1 steps.
 
-    Yields in lexicographic order (H < V).  Prunes a branch as soon as the
-    current vertex is forbidden or the remaining H/V budget cannot fill the
+    Yields in lexicographic order (H < V).  Prunes a branch as soon as an H
+    step would pass the ceiling or the remaining H/V budget cannot fill the
     remaining steps.
     """
-    if start in forbidden or not 0 <= h_count <= length:
-        return
+    length = len(ceiling) - 1
     word: list[str] = []
 
-    def extend(x: int, y: int, h_left: int) -> Iterator[str]:
-        steps_left = length - len(word)
-        if steps_left == 0:
+    def extend(h: int) -> Iterator[str]:
+        i = len(word)
+        if i == length:
             yield "".join(word)
             return
-        if h_left > 0 and (x + 1, y) not in forbidden:
+        if h < h_count and h < ceiling[i + 1]:
             word.append("H")
-            yield from extend(x + 1, y, h_left - 1)
+            yield from extend(h + 1)
             word.pop()
-        if steps_left - 1 >= h_left and (x, y + 1) not in forbidden:
+        if length - i - 1 >= h_count - h:
             word.append("V")
-            yield from extend(x, y + 1, h_left)
+            yield from extend(h)
             word.pop()
 
-    yield from extend(start[0], start[1], h_count)
+    yield from extend(0)
 
 
 def enumerate_tlp(n: int, k: int) -> Iterator[PathTriple]:
     """Every vertex-disjoint triple with n-1 steps and k horizontals per path.
 
+    Each path is pruned against the prefix counts of the path below it (see
+    :func:`is_nonintersecting`); the bottom path is free, as h(i) <= i.
     Ordered lexicographically by the concatenated step words (bottom, then
     middle, then top; H < V), so the output is reproducible.
     """
     expected_endpoints(n, k)  # argument validation
     m = n - 1
-    none: frozenset[Point] = frozenset()
-    for wb in _step_words(BOTTOM_START, m, k, none):
+    for wb in _step_words(k, range(m + 1)):
         bottom = LatticePath(BOTTOM_START, wb)
-        occupied = frozenset(bottom.vertices())
-        for wm in _step_words(MIDDLE_START, m, k, occupied):
+        for wm in _step_words(k, h_prefix(wb)):
             middle = LatticePath(MIDDLE_START, wm)
-            occupied2 = occupied | frozenset(middle.vertices())
-            for wt in _step_words(TOP_START, m, k, occupied2):
+            for wt in _step_words(k, h_prefix(wm)):
                 yield PathTriple(bottom, middle, LatticePath(TOP_START, wt))

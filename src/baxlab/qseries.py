@@ -233,7 +233,8 @@ def baxter_number(n: int) -> int:
     num = sum(comb(n + 1, k) * comb(n + 1, k + 1) * comb(n + 1, k + 2) for k in range(n))
     den = comb(n + 1, 1) * comb(n + 1, 2)
     q, r = divmod(num, den)
-    assert r == 0, "triple-binomial sum must be divisible"
+    if r:
+        raise InexactDivisionError("triple-binomial sum must be divisible")
     return q
 
 
@@ -244,7 +245,8 @@ def tlp_count_formula(n: int, k: int) -> int:
     num = comb(n + 1, k) * comb(n + 1, k + 1) * comb(n + 1, k + 2)
     den = comb(n + 1, 1) * comb(n + 1, 2)
     q, r = divmod(num, den)
-    assert r == 0, "summand must be divisible"
+    if r:
+        raise InexactDivisionError("summand must be divisible")
     return q
 
 

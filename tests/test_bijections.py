@@ -24,6 +24,11 @@ from baxlab.paths import (
     enumerate_tlp,
 )
 from baxlab.perm import identity, inverse, stat_profile
+from vertex_oracles import (
+    all_triples,
+    gamma_prime_inverse_by_search,
+    is_nonintersecting_by_vertices,
+)
 
 EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
 EX9_INV = (5, 1, 2, 4, 3, 9, 7, 8, 6)
@@ -101,6 +106,16 @@ def test_phi_round_trip_over_histories():
             assert phi_inverse(phi(h)) == h
 
 
+def test_phi_is_disjoint_or_malformed_on_every_history():
+    for length in range(0, 8):
+        for h in enumerate_histories(length):
+            try:
+                t = phi(h)
+            except MalformedMiddleError:
+                continue
+            assert is_nonintersecting_by_vertices(t), h
+
+
 def test_psi_golden():
     assert psi(EX9_INV) == PSI_TRIPLE
     assert psi(identity(4)) == all_vertical(4)
@@ -132,6 +147,23 @@ def test_gamma_prime_inverse_case_two_golden():
 def test_gamma_prime_inverse_case_one():
     for n in (1, 2, 5):
         assert gamma_prime_inverse(all_vertical(n)) == identity(n)
+
+
+def outcome(f, t):
+    try:
+        return f(t)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_gamma_prime_inverse_matches_candidate_search():
+    for n in range(1, 9):
+        for k in range(n):
+            for t in enumerate_tlp(n, k):
+                assert gamma_prime_inverse(t) == gamma_prime_inverse_by_search(t), t
+    for m in range(0, 4):
+        for t in all_triples(m):
+            assert outcome(gamma_prime_inverse, t) == outcome(gamma_prime_inverse_by_search, t), t
 
 
 def test_gamma_inverse_golden():

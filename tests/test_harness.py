@@ -64,6 +64,58 @@ def test_parallel_scan_matches_serial(monkeypatch):
     assert serial is None and parallel is None
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, want", [(2, 8, 2), (100000, 8, 4), (100000, 3, 3), (100000, None, 1)]
+)
+def test_scan_caps_the_worker_count(monkeypatch, jobs, cpus, want):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_CHUNK", 32)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    RecordingPool.requested.clear()
+    perms = list(all_permutations(5))  # 120 items: four chunks
+    assert harness._scan("fv", perms, jobs=jobs) is None
+    assert RecordingPool.requested == [want]
+
+
+def test_gamma_image_failure_names_the_first_witness(monkeypatch):
+    real_generate, real_enumerate = harness.generate_baxter, harness.enumerate_tlp
+    monkeypatch.setattr(
+        harness, "generate_baxter", lambda m: [p for p in real_generate(m) if p != (2, 3, 1)]
+    )
+    check = run_suite("bijection", 3).checks[-1]
+    assert not check.passed
+    assert check.detail == (
+        'k=1: image misses 1 triples, adds 0; first: {"bottom": {"start": [2, 0], "steps": "HV"}, '
+        '"middle": {"start": [1, 1], "steps": "VH"}, "top": {"start": [0, 2], "steps": "VH"}}'
+    )
+    monkeypatch.setattr(harness, "generate_baxter", real_generate)
+    monkeypatch.setattr(harness, "enumerate_tlp", lambda m, k: list(real_enumerate(m, k))[k == 1 :])
+    check = run_suite("bijection", 3).checks[-1]
+    assert not check.passed
+    assert check.detail == (
+        'k=1: image misses 0 triples, adds 1; first: {"bottom": {"start": [2, 0], "steps": "HV"}, '
+        '"middle": {"start": [1, 1], "steps": "HV"}, "top": {"start": [0, 2], "steps": "HV"}}'
+    )
+
+
 def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("BAXLAB_JOBS", "3")
     assert harness.default_jobs() == 3

@@ -32,6 +32,12 @@ def test_history_construction_errors():
         LaguerreHistory("UX", (1, 1))
 
 
+@pytest.mark.parametrize("weights", [(1.7, 1), (True, 1), ("1", 1)])
+def test_history_rejects_non_integer_weights(weights):
+    with pytest.raises(ValueError, match="integers"):
+        LaguerreHistory("UD", weights)
+
+
 def test_height_profile_golden():
     assert height_profile("URUDDBUD") == (1, 2, 2, 3, 2, 1, 1, 2)
     assert height_profile("") == ()

@@ -14,9 +14,11 @@ from baxlab.paths import (
     encode_set,
     enumerate_tlp,
     expected_endpoints,
+    h_prefix,
     is_nonintersecting,
     tlp_parameters,
 )
+from vertex_oracles import all_triples, is_nonintersecting_by_vertices
 
 EX9_BOTTOM = LatticePath(BOTTOM_START, "HVHVVHHV")
 EX9_MIDDLE = LatticePath(MIDDLE_START, "VVHHVHVH")
@@ -55,6 +57,17 @@ def test_lattice_path_validation():
     with pytest.raises(ValueError):
         LatticePath((0, 0), "HX")
     assert len(LatticePath((0, 0), "")) == 0
+
+
+@pytest.mark.parametrize("start", [(1.5, 0), ("a", 0), (True, 0), (0, False)])
+def test_lattice_path_rejects_non_integer_starts(start):
+    with pytest.raises(ValueError, match="integers"):
+        LatticePath(start, "H")
+
+
+def test_h_prefix():
+    assert h_prefix("") == [0]
+    assert h_prefix("HVHVVHHV") == [0, 1, 1, 2, 2, 2, 3, 4, 4]
 
 
 def test_encode_set_golden():
@@ -139,6 +152,12 @@ def test_is_nonintersecting():
     assert not is_nonintersecting(balanced_crossing)
     with pytest.raises(ValueError, match="vertex-disjoint"):
         tlp_parameters(balanced_crossing)
+
+
+def test_is_nonintersecting_matches_vertex_oracle():
+    for m in range(0, 6):
+        for t in all_triples(m):
+            assert is_nonintersecting(t) == is_nonintersecting_by_vertices(t), t
 
 
 def test_tlp_parameters_requires_equal_h_counts():

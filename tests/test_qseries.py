@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from baxlab import qseries
 from baxlab.perm import all_permutations, is_baxter_bruteforce, stat_profile
 from baxlab.qseries import (
     InexactDivisionError,
@@ -157,6 +158,15 @@ def test_tlp_count_formula():
         assert sum(tlp_count_formula(n, k) for k in range(n)) == baxter_number(n)
     with pytest.raises(ValueError):
         tlp_count_formula(3, 3)
+
+
+def test_counting_formulas_raise_on_a_remainder(monkeypatch):
+    # with comb(a, b) = b + 2 the summand for k = 3 is 5 * 6 * 7 / (3 * 4)
+    monkeypatch.setattr(qseries, "comb", lambda a, b: b + 2)
+    with pytest.raises(InexactDivisionError, match="summand"):
+        tlp_count_formula(5, 3)
+    with pytest.raises(InexactDivisionError, match="triple-binomial"):
+        baxter_number(4)
 
 
 def test_baxter_polynomial_rhs_small():

@@ -1,0 +1,16 @@
+import ast
+from pathlib import Path
+
+import baxlab
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts, so no invariant of the package may rest on one
+    root = Path(baxlab.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
