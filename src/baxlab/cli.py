@@ -66,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     ks = range(args.n) if args.k is None else [args.k]
     triples = (t for k in ks for t in enumerate_tlp(args.n, k))
     if args.format == "count":

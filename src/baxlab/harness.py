@@ -13,19 +13,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
-from .laguerre import enumerate_histories, psi_fv, psi_fv_inverse, validate
+from .laguerre import LaguerreHistory, enumerate_histories, psi_fv, psi_fv_inverse, validate
 from .paths import PathTriple, decode_path, enumerate_tlp
 from .perm import (
     Perm,
     all_permutations,
-    generate_baxter,
     insertion_slots,
     inverse,
     is_baxter,
+    iter_baxter,
     shape_flags,
     stat_profile,
 )
@@ -141,42 +141,100 @@ def _check_psi_encoding(p: Perm) -> str | None:
     return None
 
 
-_PER_ITEM_CHECKERS: dict[str, Callable[[Perm], str | None]] = {
-    "fv": _check_fv,
-    "gamma-prime-roundtrip": _check_gamma_prime_roundtrip,
-    "psi-roundtrip": _check_psi_roundtrip,
-    "psi-encoding": _check_psi_encoding,
-}
+def _check_history_roundtrip(h: LaguerreHistory) -> str | None:
+    if psi_fv(psi_fv_inverse(h)) != h:
+        return f"history {h.word}/{list(h.weights)} does not round trip"
+    return None
+
+
+def _check_tlp_roundtrip(t: PathTriple) -> str | None:
+    if _triple_key(gamma_prime(gamma_prime_inverse(t))) != _triple_key(t):
+        return f"triple {_triple_json(t)} does not round trip"
+    return None
+
+
+def _check_insertion_cases(parent: Perm) -> str | None:
+    """Compare each child triple of the growth step against the predicted surgery."""
+    m = len(parent) + 1
+    gp = gamma_prime(parent)
+    bw, mw, tw = gp.bottom.steps, gp.middle.steps, gp.top.steps
+    for pos in insertion_slots(parent):
+        child = parent[: pos - 1] + (m,) + parent[pos - 1 :]
+        gc = gamma_prime(child)
+        got = (gc.bottom.steps, gc.middle.steps, gc.top.steps)
+        if pos == m:  # new maximum at the end: all paths gain a vertical step
+            want = (bw + "V", mw + "V", tw + "V")
+        elif pos > 1 and parent[pos - 2] == max(parent[pos - 2 :]):
+            # after a right-to-left maximum s: top loses the horizontal at
+            # s-1 and gains one at the end
+            s = parent[pos - 2]
+            flipped = tw[: s - 2] + "V" + tw[s - 1 :]
+            want = (bw + "V", mw + "V", flipped + "H")
+        else:
+            # before a left-to-right maximum s: bottom turns step s
+            # horizontal (or appends one when s = m-1), middle and top
+            # gain a horizontal at the end
+            s = parent[pos - 1]
+            if s <= m - 2:
+                nb = bw[: s - 1] + "H" + bw[s:] + "V"
+            else:
+                nb = bw + "H"
+            want = (nb, mw + "H", tw + "H")
+        if got != want:
+            return (
+                f"insert {m} at slot {pos} of {_perm_json(parent)}: "
+                f"triple {got} but surgery predicts {want}"
+            )
+    return None
+
+
+def _check_q_binomial(mk: tuple[int, int]) -> str | None:
+    m, k = mk
+    poly = q_binomial(m, k)
+    top = k * (m - k)
+    if poly(1) != comb(m, k):
+        return f"[{m},{k}]_q sums to {poly(1)}, binomial is {comb(m, k)}"
+    if any(poly.coefficient(d) != poly.coefficient(top - d) for d in range(top + 1)):
+        return f"[{m},{k}]_q is not symmetric"
+    return None
+
 
 _CHUNK = 4096
 
 
-def _scan_chunk(args: tuple[str, list[Perm]]) -> str | None:
-    name, chunk = args
-    checker = _PER_ITEM_CHECKERS[name]
-    for item in chunk:
+def _scan_chunk(args: tuple[Callable, Iterable]) -> tuple[int, str | None]:
+    checker, items = args
+    count = 0
+    for count, item in enumerate(items, 1):
         msg = checker(item)
         if msg is not None:
-            return msg
-    return None
+            return count, msg
+    return count, None
 
 
-def _scan(name: str, items: Sequence[Perm], jobs: int) -> str | None:
-    """First failure message in deterministic order, or None."""
+def _scan(checker: Callable, items: Iterable, jobs: int) -> tuple[int, str | None]:
+    """Items checked and the first failure message in deterministic order, or None.
+
+    With one job the items are consumed as they arrive and the scan stops at
+    the first failure; with more, they are listed and checked in chunks.
+    """
+    if jobs > 1:
+        items = list(items)
     if jobs <= 1 or len(items) < 2 * _CHUNK:
-        return _scan_chunk((name, list(items)))
-    chunks = [list(items[i : i + _CHUNK]) for i in range(0, len(items), _CHUNK)]
+        return _scan_chunk((checker, items))
+    chunks = [items[i : i + _CHUNK] for i in range(0, len(items), _CHUNK)]
     workers = min(jobs, os.cpu_count() or 1, len(chunks))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        for result in ex.map(_scan_chunk, [(name, c) for c in chunks]):
-            if result is not None:
-                return result
-    return None
+        for i, (checked, msg) in enumerate(ex.map(_scan_chunk, [(checker, c) for c in chunks])):
+            if msg is not None:
+                return i * _CHUNK + checked, msg
+    return len(items), None
 
 
-def _scan_check(label: str, name: str, items: Sequence[Perm], jobs: int, ok_detail: str) -> Check:
-    msg = _scan(name, items, jobs)
-    return Check(label, msg is None, ok_detail if msg is None else msg)
+def _scan_check(label: str, checker: Callable, items: Iterable, jobs: int, ok_detail: str) -> Check:
+    """Scan items with checker; on success the detail is ok_detail with the count put in."""
+    count, msg = _scan(checker, items, jobs)
+    return Check(label, msg is None, ok_detail.format(count) if msg is None else msg)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +245,7 @@ def _suite_bijection(n: int, jobs: int) -> list[Check]:
     for m in range(1, n + 1):
         images: dict[int, dict[tuple, Perm]] = {}
         failure = None
-        for p in generate_baxter(m):
+        for p in iter_baxter(m):
             t = gamma(p)
             k = t.bottom.steps.count("H")
             key = _triple_key(t)
@@ -231,123 +289,72 @@ def _suite_bijection(n: int, jobs: int) -> list[Check]:
 def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
     checks = []
     for m in range(1, min(n, FULL_SCAN_LIMIT) + 1):
-        perms = list(all_permutations(m))
         checks.append(
             _scan_check(
                 f"fv-roundtrip-n{m}",
-                "fv",
-                perms,
+                _check_fv,
+                all_permutations(m),
                 jobs,
-                f"round trip and history/pattern agreement on all {len(perms)} permutations",
+                "round trip and history/pattern agreement on all {} permutations",
             )
         )
     for length in range(0, min(n - 1, HISTORY_ENUM_LIMIT) + 1):
-        failure = None
-        count = 0
-        for h in enumerate_histories(length):
-            count += 1
-            if psi_fv(psi_fv_inverse(h)) != h:
-                failure = f"history {h.word}/{list(h.weights)} does not round trip"
-                break
         checks.append(
-            Check(
+            _scan_check(
                 f"history-roundtrip-len{length}",
-                failure is None,
-                failure or f"all {count} histories round trip",
+                _check_history_roundtrip,
+                enumerate_histories(length),
+                jobs,
+                "all {} histories round trip",
             )
         )
     for m in range(1, n + 1):
-        bax = generate_baxter(m)
         checks.append(
             _scan_check(
                 f"gamma-prime-roundtrip-n{m}",
-                "gamma-prime-roundtrip",
-                bax,
+                _check_gamma_prime_roundtrip,
+                iter_baxter(m),
                 jobs,
-                f"inverse algorithm returns all {len(bax)} Baxter permutations",
+                "inverse algorithm returns all {} Baxter permutations",
             )
         )
         checks.append(
             _scan_check(
                 f"psi-roundtrip-n{m}",
-                "psi-roundtrip",
-                bax,
+                _check_psi_roundtrip,
+                iter_baxter(m),
                 jobs,
-                f"round trip on all {len(bax)} Baxter permutations",
+                "round trip on all {} Baxter permutations",
             )
         )
         if m <= TLP_ENUM_LIMIT:
-            failure = None
-            count = 0
-            for k in range(m):
-                for t in enumerate_tlp(m, k):
-                    count += 1
-                    if _triple_key(gamma_prime(gamma_prime_inverse(t))) != _triple_key(t):
-                        failure = f"triple {_triple_json(t)} does not round trip"
-                        break
-                if failure:
-                    break
             checks.append(
-                Check(
+                _scan_check(
                     f"tlp-roundtrip-n{m}",
-                    failure is None,
-                    failure or f"all {count} triples round trip through the inverse algorithm",
+                    _check_tlp_roundtrip,
+                    (t for k in range(m) for t in enumerate_tlp(m, k)),
+                    jobs,
+                    "all {} triples round trip through the inverse algorithm",
                 )
             )
     return checks
 
 
-def _insertion_case_failure(m: int) -> str | None:
-    """Compare each child triple of the growth step against the predicted surgery."""
-    for parent in generate_baxter(m - 1):
-        gp = gamma_prime(parent)
-        bw, mw, tw = gp.bottom.steps, gp.middle.steps, gp.top.steps
-        for pos in insertion_slots(parent):
-            child = parent[: pos - 1] + (m,) + parent[pos - 1 :]
-            gc = gamma_prime(child)
-            got = (gc.bottom.steps, gc.middle.steps, gc.top.steps)
-            if pos == m:  # new maximum at the end: all paths gain a vertical step
-                want = (bw + "V", mw + "V", tw + "V")
-            elif pos > 1 and parent[pos - 2] == max(parent[pos - 2 :]):
-                # after a right-to-left maximum s: top loses the horizontal at
-                # s-1 and gains one at the end
-                s = parent[pos - 2]
-                flipped = tw[: s - 2] + "V" + tw[s - 1 :]
-                want = (bw + "V", mw + "V", flipped + "H")
-            else:
-                # before a left-to-right maximum s: bottom turns step s
-                # horizontal (or appends one when s = m-1), middle and top
-                # gain a horizontal at the end
-                s = parent[pos - 1]
-                if s <= m - 2:
-                    nb = bw[: s - 1] + "H" + bw[s:] + "V"
-                else:
-                    nb = bw + "H"
-                want = (nb, mw + "H", tw + "H")
-            if got != want:
-                return (
-                    f"insert {m} at slot {pos} of {_perm_json(parent)}: "
-                    f"triple {got} but surgery predicts {want}"
-                )
-    return None
-
-
 def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
-        bax = generate_baxter(m)
         checks.append(
             _scan_check(
                 f"psi-encodings-n{m}",
-                "psi-encoding",
-                bax,
+                _check_psi_encoding,
+                iter_baxter(m),
                 jobs,
-                f"paths decode to (DB, IDES, DT-hat) on all {len(bax)} permutations",
+                "paths decode to (DB, IDES, DT-hat) on all {} permutations",
             )
         )
         seen: dict[tuple, Perm] = {}
         failure = None
-        for p in bax:
+        for p in iter_baxter(m):
             prof = stat_profile(p)
             key = (prof.dt_mod_set, prof.ides_set, prof.db_set)
             if key in seen:
@@ -358,16 +365,17 @@ def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
             Check(
                 f"statistic-injectivity-n{m}",
                 failure is None,
-                failure or f"all {len(bax)} statistic triples are distinct",
+                failure or f"all {len(seen)} statistic triples are distinct",
             )
         )
     for m in range(2, min(n, INSERTION_CASE_LIMIT) + 1):
-        failure = _insertion_case_failure(m)
         checks.append(
-            Check(
+            _scan_check(
                 f"insertion-cases-n{m}",
-                failure is None,
-                failure or "all growth steps match the predicted path surgery",
+                _check_insertion_cases,
+                iter_baxter(m - 1),
+                jobs,
+                "all growth steps match the predicted path surgery",
             )
         )
     return checks
@@ -404,24 +412,13 @@ def _suite_polynomial(n: int, jobs: int) -> list[Check]:
         rhs2 = baxter_polynomial_rhs(2)
         ok = rhs2.terms() == [(0, 0, 1), (1, 3, 1)]
         checks.append(Check("tq-golden-n2", ok, f"terms {rhs2.terms()}"))
-    failure = None
-    for m in range(0, n + 1):
-        for k in range(0, m + 1):
-            poly = q_binomial(m, k)
-            top = k * (m - k)
-            if poly(1) != comb(m, k):
-                failure = f"[{m},{k}]_q sums to {poly(1)}, binomial is {comb(m, k)}"
-                break
-            if any(poly.coefficient(d) != poly.coefficient(top - d) for d in range(top + 1)):
-                failure = f"[{m},{k}]_q is not symmetric"
-                break
-        if failure:
-            break
     checks.append(
-        Check(
+        _scan_check(
             f"qbinomial-n{n}",
-            failure is None,
-            failure or f"symmetry and q->1 specialisation hold up to n={n}",
+            _check_q_binomial,
+            ((m, k) for m in range(n + 1) for k in range(m + 1)),
+            jobs,
+            f"symmetry and q->1 specialisation hold up to n={n}",
         )
     )
     return checks
@@ -430,7 +427,7 @@ def _suite_polynomial(n: int, jobs: int) -> list[Check]:
 def _suite_counts(n: int, jobs: int) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
-        generated = len(generate_baxter(m))
+        generated = sum(1 for _ in iter_baxter(m))
         formula = baxter_number(m)
         parts = [f"generator {generated}", f"formula {formula}"]
         passed = generated == formula
@@ -464,20 +461,6 @@ def _suite_counts(n: int, jobs: int) -> list[Check]:
         checks.append(
             Check(f"summand-sum-n{m}", total == want, f"sum {total}, Baxter number {want}")
         )
-    for m in range(1, n + 1):
-        alt = ralt = 0
-        for p in generate_baxter(m):
-            flags = shape_flags(p)
-            alt += flags.alternating
-            ralt += flags.reverse_alternating
-        want = catalan(m // 2) * catalan((m + 1) // 2)
-        checks.append(
-            Check(
-                f"alternating-count-n{m}",
-                alt == want and ralt == want,
-                f"alternating {alt}, reverse {ralt}, Catalan product {want}",
-            )
-        )
     return checks
 
 
@@ -495,7 +478,7 @@ def _suite_corollaries(n: int, jobs: int) -> list[Check]:
     for m in range(1, n + 1):
         alt = ralt = 0
         special: list[Perm] = []
-        for p in generate_baxter(m):
+        for p in iter_baxter(m):
             flags = shape_flags(p)
             alt += flags.alternating
             ralt += flags.reverse_alternating

@@ -5,12 +5,17 @@ violated, so malformed files fail loudly rather than flow downstream.
 """
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .laguerre import LaguerreHistory
 from .paths import LatticePath, PathTriple, tlp_parameters
 from .perm import Perm, as_permutation
 from .qseries import TQPoly
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def perm_to_obj(p: Perm) -> list[int]:
@@ -26,7 +31,7 @@ def perm_from_obj(obj: Any) -> Perm:
             raise ValueError("compact permutation form cannot contain 0")
         return as_permutation(int(ch) for ch in obj)
     if isinstance(obj, list):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in obj):
+        if not all(_is_int(v) for v in obj):
             raise ValueError("permutation array must contain only integers")
         return as_permutation(obj)
     raise ValueError(f"expected a JSON array or digit string, got {type(obj).__name__}")
@@ -40,11 +45,7 @@ def path_from_obj(obj: Any) -> LatticePath:
     if not isinstance(obj, dict) or set(obj) != {"start", "steps"}:
         raise ValueError('a path object needs exactly the keys "start" and "steps"')
     start = obj["start"]
-    if (
-        not isinstance(start, list)
-        or len(start) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in start)
-    ):
+    if not isinstance(start, list) or len(start) != 2 or not all(_is_int(v) for v in start):
         raise ValueError('"start" must be a [x, y] pair of integers')
     if not isinstance(obj["steps"], str):
         raise ValueError('"steps" must be a string over "HV"')
@@ -84,9 +85,7 @@ def history_from_obj(obj: Any) -> LaguerreHistory:
     if not isinstance(obj["word"], str):
         raise ValueError('"word" must be a string over "UDBR"')
     weights = obj["weights"]
-    if not isinstance(weights, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in weights
-    ):
+    if not isinstance(weights, list) or not all(_is_int(v) for v in weights):
         raise ValueError('"weights" must be an array of integers')
     return LaguerreHistory(obj["word"], tuple(weights))
 
@@ -97,14 +96,21 @@ def tqpoly_to_obj(poly: TQPoly) -> list[dict]:
 
 
 def tqpoly_from_obj(obj: Any) -> TQPoly:
+    """Degrees must be integers; a coefficient an integer or a decimal integer string."""
     if not isinstance(obj, list):
         raise ValueError("a polynomial must be an array of term objects")
     coeffs: dict[tuple[int, int], int] = {}
     for term in obj:
         if not isinstance(term, dict) or set(term) != {"t", "q", "c"}:
             raise ValueError('each term needs exactly the keys "t", "q", "c"')
-        key = (term["t"], term["q"])
+        key, c = (term["t"], term["q"]), term["c"]
+        if not all(_is_int(d) for d in key):
+            raise ValueError(f"term {term}: degrees must be integers")
+        if isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c):
+            c = int(c)
+        elif not _is_int(c):
+            raise ValueError(f"term {term}: coefficient must be an integer or a decimal string")
         if key in coeffs:
             raise ValueError(f"duplicate term for degrees {key}")
-        coeffs[key] = int(term["c"])
+        coeffs[key] = c
     return TQPoly(coeffs)

@@ -245,26 +245,34 @@ def insertion_slots(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(slots))
 
 
-def generate_baxter(n: int) -> list[Perm]:
-    """All Baxter permutations of [n], without filtering.
+def iter_baxter(n: int) -> Iterator[Perm]:
+    """All Baxter permutations of [n], without filtering, one at a time.
 
-    Grown by repeatedly inserting the new maximum m into every allowed slot
-    of every permutation of the previous generation.  The order is
-    deterministic: breadth-first over parents, slots taken left to right.
+    Each permutation of [n-1], in this same order, is followed by its
+    children: the new maximum n inserted into each allowed slot, left to
+    right.  The order is thus lexicographic in the sequence of slot choices,
+    and only one permutation per level is held at a time.
 
-    >>> generate_baxter(3)[:3]
+    >>> list(iter_baxter(3))[:3]
     [(3, 2, 1), (2, 3, 1), (2, 1, 3)]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    level: list[Perm] = [(1,)]
-    for m in range(2, n + 1):
-        level = [
-            s[: pos - 1] + (m,) + s[pos - 1 :]
-            for s in level
-            for pos in insertion_slots(s)
-        ]
-    return level
+    if n == 1:
+        yield (1,)
+        return
+    for p in iter_baxter(n - 1):
+        for pos in insertion_slots(p):
+            yield p[: pos - 1] + (n,) + p[pos - 1 :]
+
+
+def generate_baxter(n: int) -> list[Perm]:
+    """The list of :func:`iter_baxter`.
+
+    >>> generate_baxter(3)[:3]
+    [(3, 2, 1), (2, 3, 1), (2, 1, 3)]
+    """
+    return list(iter_baxter(n))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping
 
-from .perm import generate_baxter, stat_profile
+from .perm import iter_baxter, stat_profile
 
 
 class InexactDivisionError(ArithmeticError):
@@ -274,10 +274,8 @@ def baxter_polynomial_rhs(n: int) -> TQPoly:
 
 def baxter_polynomial_lhs(n: int) -> TQPoly:
     """Brute sum of t^des q^(imaj_b + maj + imaj_t) over all Baxter permutations."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     acc: dict[tuple[int, int], int] = {}
-    for p in generate_baxter(n):
+    for p in iter_baxter(n):
         prof = stat_profile(p)
         key = (prof.des, prof.imaj_b + prof.maj + prof.imaj_t)
         acc[key] = acc.get(key, 0) + 1

@@ -12,7 +12,7 @@ from baxlab.bijections import (
     psi,
     psi_inverse,
 )
-from baxlab.harness import _insertion_case_failure
+from baxlab.harness import _check_insertion_cases, _scan
 from baxlab.laguerre import LaguerreHistory, enumerate_histories
 from baxlab.paths import (
     BOTTOM_START,
@@ -23,7 +23,7 @@ from baxlab.paths import (
     decode_path,
     enumerate_tlp,
 )
-from baxlab.perm import identity, inverse, stat_profile
+from baxlab.perm import identity, inverse, iter_baxter, stat_profile
 from vertex_oracles import (
     all_triples,
     gamma_prime_inverse_by_search,
@@ -226,4 +226,4 @@ def test_statistic_triples_are_injective(bax):
 
 def test_insertion_case_surgery():
     for n in range(2, 7):
-        assert _insertion_case_failure(n) is None
+        assert _scan(_check_insertion_cases, iter_baxter(n - 1), jobs=1)[1] is None

@@ -41,11 +41,11 @@ def test_reports_are_deterministic():
 
 
 def test_counts_suite_reports_the_alternating_values():
-    report = run_suite("counts", 7)
+    report = run_suite("corollaries", 7)
     assert report.passed
     by_label = {c.label: c for c in report.checks}
-    assert "alternating 70" in by_label["alternating-count-n7"].detail
-    assert "alternating 25" in by_label["alternating-count-n6"].detail
+    assert "alternating 70" in by_label["alt-catalan-product-n7"].detail
+    assert "alternating 25" in by_label["alt-catalan-product-n6"].detail
 
 
 def test_report_serialization():
@@ -58,10 +58,10 @@ def test_report_serialization():
 
 def test_parallel_scan_matches_serial(monkeypatch):
     perms = list(all_permutations(6))
-    serial = harness._scan("fv", perms, jobs=1)
+    serial = harness._scan(harness._check_fv, perms, jobs=1)
     monkeypatch.setattr(harness, "_CHUNK", 64)
-    parallel = harness._scan("fv", perms, jobs=2)
-    assert serial is None and parallel is None
+    parallel = harness._scan(harness._check_fv, perms, jobs=2)
+    assert serial == parallel == (720, None)
 
 
 class RecordingPool:
@@ -91,14 +91,34 @@ def test_scan_caps_the_worker_count(monkeypatch, jobs, cpus, want):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     RecordingPool.requested.clear()
     perms = list(all_permutations(5))  # 120 items: four chunks
-    assert harness._scan("fv", perms, jobs=jobs) is None
+    assert harness._scan(harness._check_fv, perms, jobs=jobs) == (120, None)
     assert RecordingPool.requested == [want]
 
 
+def starts_with_a_descent(p):
+    return f"{p} starts with a descent" if p[0] > p[1] else None
+
+
+def test_scan_stops_at_the_first_failure(monkeypatch):
+    consumed = []
+
+    def items():
+        for p in all_permutations(5):
+            consumed.append(p)
+            yield p
+
+    want = (25, "(2, 1, 3, 4, 5) starts with a descent")
+    assert harness._scan(starts_with_a_descent, items(), jobs=1) == want
+    assert len(consumed) == 25
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_CHUNK", 8)
+    assert harness._scan(starts_with_a_descent, all_permutations(5), jobs=2) == want
+
+
 def test_gamma_image_failure_names_the_first_witness(monkeypatch):
-    real_generate, real_enumerate = harness.generate_baxter, harness.enumerate_tlp
+    real_iter, real_enumerate = harness.iter_baxter, harness.enumerate_tlp
     monkeypatch.setattr(
-        harness, "generate_baxter", lambda m: [p for p in real_generate(m) if p != (2, 3, 1)]
+        harness, "iter_baxter", lambda m: (p for p in real_iter(m) if p != (2, 3, 1))
     )
     check = run_suite("bijection", 3).checks[-1]
     assert not check.passed
@@ -106,7 +126,7 @@ def test_gamma_image_failure_names_the_first_witness(monkeypatch):
         'k=1: image misses 1 triples, adds 0; first: {"bottom": {"start": [2, 0], "steps": "HV"}, '
         '"middle": {"start": [1, 1], "steps": "VH"}, "top": {"start": [0, 2], "steps": "VH"}}'
     )
-    monkeypatch.setattr(harness, "generate_baxter", real_generate)
+    monkeypatch.setattr(harness, "iter_baxter", real_iter)
     monkeypatch.setattr(harness, "enumerate_tlp", lambda m, k: list(real_enumerate(m, k))[k == 1 :])
     check = run_suite("bijection", 3).checks[-1]
     assert not check.passed
@@ -236,6 +256,13 @@ def test_cli_enum_json(capsys):
             "top": {"start": [0, 2], "steps": "H"},
         }
     ]
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2", "--format", "csv"]])
+def test_cli_enum_rejects_sizes_below_one(argv, capsys):
+    assert cli.main(["enum", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must be >= 1\n"
 
 
 def test_cli_invert_round_trip(tmp_path, capsys):

@@ -110,3 +110,27 @@ def test_tqpoly_forms():
     with pytest.raises(ValueError):
         tqpoly_from_obj([{"t": 0, "q": 0}])
     assert tqpoly_from_obj([]) == TQPoly.zero()
+
+
+@pytest.mark.parametrize(
+    "term, what",
+    [
+        ({"t": 0, "q": 0, "c": 1.9}, "coefficient"),
+        ({"t": 0, "q": 0, "c": None}, "coefficient"),
+        ({"t": 0, "q": 0, "c": True}, "coefficient"),
+        ({"t": 0, "q": 0, "c": "1.9"}, "coefficient"),
+        ({"t": 0, "q": 0, "c": " 2"}, "coefficient"),
+        ({"t": True, "q": 0, "c": "1"}, "degrees"),
+        ({"t": "a", "q": 0, "c": "1"}, "degrees"),
+        ({"t": 0, "q": 1.0, "c": "1"}, "degrees"),
+    ],
+)
+def test_tqpoly_from_obj_rejects_non_integer_values(term, what):
+    with pytest.raises(ValueError, match=rf"^term .*: {what} must be"):
+        tqpoly_from_obj([term])
+
+
+def test_tqpoly_from_obj_accepts_integer_coefficients():
+    assert tqpoly_from_obj([{"t": 1, "q": 2, "c": -3}, {"t": 0, "q": 0, "c": "-12"}]) == TQPoly(
+        {(1, 2): -3, (0, 0): -12}
+    )

@@ -17,9 +17,11 @@ from baxlab.perm import (
     inverse,
     is_baxter,
     is_baxter_bruteforce,
+    iter_baxter,
     shape_flags,
     stat_profile,
 )
+from bfs_oracle import generate_baxter_bfs
 
 EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
 
@@ -195,6 +197,13 @@ def test_generate_baxter_matches_filter():
         filtered = {p for p in all_permutations(n) if is_baxter_bruteforce(p)}
         assert set(generated) == filtered
     assert len(generate_baxter(4)) == 22
+
+
+def test_iter_baxter_streams_the_breadth_first_order():
+    for n in range(1, 11):
+        assert list(iter_baxter(n)) == generate_baxter_bfs(n)
+    with pytest.raises(ValueError):
+        generate_baxter(0)
 
 
 def test_insertion_slots_disjoint_families():
