@@ -16,16 +16,7 @@ and delegating to ``psi_inverse``.
 from __future__ import annotations
 
 from .laguerre import LaguerreHistory, MalformedHistoryError, psi_fv, psi_fv_inverse, validate
-from .paths import (
-    BOTTOM_START,
-    MIDDLE_START,
-    TOP_START,
-    LatticePath,
-    PathTriple,
-    encode_set,
-    h_prefix,
-    tlp_parameters,
-)
+from .paths import PathTriple, encode_set, h_prefix, tlp_parameters
 from .perm import Perm, inverse, is_baxter, stat_profile
 
 
@@ -52,9 +43,9 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     prof = stat_profile(p)
     m = len(p) - 1
     return PathTriple(
-        encode_set(prof.idb_set, m, BOTTOM_START),
-        encode_set(prof.des_set, m, MIDDLE_START),
-        encode_set(prof.idt_mod_set, m, TOP_START),
+        encode_set(prof.idb_set, m),
+        encode_set(prof.des_set, m),
+        encode_set(prof.idt_mod_set, m),
     )
 
 
@@ -82,7 +73,7 @@ def phi(h: LaguerreHistory) -> PathTriple:
     top = "".join("H" if c in "DB" else "V" for c in h.word)
     hb = h_prefix(bottom)
     hm = [1 + b - w for b, w in zip(hb, h.weights)] + [hb[-1]]
-    steps = []
+    middle = []
     for i in range(len(h)):
         d = hm[i + 1] - hm[i]
         if d not in (0, 1):
@@ -90,12 +81,8 @@ def phi(h: LaguerreHistory) -> PathTriple:
                 f"middle step {i + 1} would jump by ({d}, {1 - d}); "
                 "weights do not satisfy the increment rules"
             )
-        steps.append("VH"[d])
-    return PathTriple(
-        LatticePath(BOTTOM_START, bottom),
-        LatticePath(MIDDLE_START, "".join(steps)),
-        LatticePath(TOP_START, top),
-    )
+        middle.append("VH"[d])
+    return PathTriple(bottom, "".join(middle), top)
 
 
 def phi_inverse(t: PathTriple) -> LaguerreHistory:
@@ -112,8 +99,8 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
         ("V", "V"): "R",
         ("H", "H"): "B",
     }
-    word = "".join(pair_to_letter[(wt, wb)] for wt, wb in zip(t.top.steps, t.bottom.steps))
-    hb, hm = h_prefix(t.bottom.steps), h_prefix(t.middle.steps)
+    word = "".join(pair_to_letter[(wt, wb)] for wt, wb in zip(t.top, t.bottom))
+    hb, hm = h_prefix(t.bottom), h_prefix(t.middle)
     weights = tuple(1 + b - mid for b, mid in zip(hb[:-1], hm))
     h = LaguerreHistory(word, weights)
     val = validate(h)
@@ -152,12 +139,12 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
       gap >= 0 (h_s(i) = h_top(i - 1) <= h_mid(i)) and gap ends at 1.
     """
     tlp_parameters(t)
-    word = ("V" + t.top.steps)[:-1]
-    if t.top.steps.endswith("H"):
-        gap = [a - b for a, b in zip(h_prefix(t.middle.steps), h_prefix(word))]
+    word = ("V" + t.top)[:-1]
+    if t.top.endswith("H"):
+        gap = [a - b for a, b in zip(h_prefix(t.middle), h_prefix(word))]
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
-    return psi_inverse(PathTriple(t.bottom, t.middle, LatticePath(TOP_START, word)))
+    return psi_inverse(PathTriple(t.bottom, t.middle, word))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import bijections, harness, jsonio
 from .laguerre import psi_fv
-from .paths import enumerate_tlp
+from .paths import enumerate_tlp, expected_endpoints
 from .qseries import baxter_polynomial_rhs
 
 
@@ -68,6 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    if args.k is not None:
+        expected_endpoints(args.n, args.k)  # reject a bad k before any output
     ks = range(args.n) if args.k is None else [args.k]
     triples = (t for k in ks for t in enumerate_tlp(args.n, k))
     if args.format == "count":
@@ -75,10 +77,12 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print("bottom,middle,top")
         for t in triples:
-            print(f"{t.bottom.steps},{t.middle.steps},{t.top.steps}")
+            print(f"{t.bottom},{t.middle},{t.top}")
     else:
-        rows = [json.dumps(jsonio.triple_to_obj(t)) for t in triples]
-        print("[" + ",\n ".join(rows) + "]" if rows else "[]")
+        print("[", end="")
+        for i, t in enumerate(triples):
+            print(",\n " * (i > 0) + json.dumps(jsonio.triple_to_obj(t)), end="")
+        print("]")
     return 0
 
 
@@ -110,7 +114,7 @@ def _parse_perm_text(text: str) -> object:
     if text.startswith("["):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"bad permutation JSON: {exc}") from exc
     return text
 
@@ -123,9 +127,9 @@ def _cmd_invert(args: argparse.Namespace) -> int:
             raw = fh.read()
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad triple JSON: {exc}") from exc
-    t = jsonio.triple_from_obj(obj, strict=True)
+    t = jsonio.triple_from_obj(obj)  # every inverse checks disjointness itself
     fn = {
         "gamma": bijections.gamma_inverse,
         "gamma-prime": bijections.gamma_prime_inverse,

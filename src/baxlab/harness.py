@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
 from .laguerre import LaguerreHistory, enumerate_histories, psi_fv, psi_fv_inverse, validate
-from .paths import PathTriple, decode_path, enumerate_tlp
+from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, decode_path, enumerate_tlp
 from .perm import (
     Perm,
     all_permutations,
@@ -89,10 +89,6 @@ class Report:
         }
 
 
-def _triple_key(t: PathTriple) -> tuple[str, str, str]:
-    return (t.bottom.steps, t.middle.steps, t.top.steps)
-
-
 def _perm_json(p: Perm) -> str:
     return json.dumps(perm_to_obj(p))
 
@@ -148,7 +144,7 @@ def _check_history_roundtrip(h: LaguerreHistory) -> str | None:
 
 
 def _check_tlp_roundtrip(t: PathTriple) -> str | None:
-    if _triple_key(gamma_prime(gamma_prime_inverse(t))) != _triple_key(t):
+    if gamma_prime(gamma_prime_inverse(t)) != t:
         return f"triple {_triple_json(t)} does not round trip"
     return None
 
@@ -157,11 +153,11 @@ def _check_insertion_cases(parent: Perm) -> str | None:
     """Compare each child triple of the growth step against the predicted surgery."""
     m = len(parent) + 1
     gp = gamma_prime(parent)
-    bw, mw, tw = gp.bottom.steps, gp.middle.steps, gp.top.steps
+    bw, mw, tw = gp.bottom, gp.middle, gp.top
     for pos in insertion_slots(parent):
         child = parent[: pos - 1] + (m,) + parent[pos - 1 :]
         gc = gamma_prime(child)
-        got = (gc.bottom.steps, gc.middle.steps, gc.top.steps)
+        got = (gc.bottom, gc.middle, gc.top)
         if pos == m:  # new maximum at the end: all paths gain a vertical step
             want = (bw + "V", mw + "V", tw + "V")
         elif pos > 1 and parent[pos - 2] == max(parent[pos - 2 :]):
@@ -242,34 +238,28 @@ def _scan_check(label: str, checker: Callable, items: Iterable, jobs: int, ok_de
 
 def _suite_bijection(n: int, jobs: int) -> list[Check]:
     checks = []
-    for m in range(1, n + 1):
-        images: dict[int, dict[tuple, Perm]] = {}
+    for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
+        images: dict[int, dict[PathTriple, Perm]] = {}
         failure = None
         for p in iter_baxter(m):
             t = gamma(p)
-            k = t.bottom.steps.count("H")
-            key = _triple_key(t)
-            bucket = images.setdefault(k, {})
-            if key in bucket:
+            bucket = images.setdefault(t.bottom.count("H"), {})
+            if t in bucket:
                 failure = (
-                    f"{_perm_json(p)} and {_perm_json(bucket[key])} share the image "
+                    f"{_perm_json(p)} and {_perm_json(bucket[t])} share the image "
                     f"{_triple_json(t)}"
                 )
                 break
-            bucket[key] = p
+            bucket[t] = p
         total = 0
         if failure is None:
             for k in range(m):
-                enumerated = {_triple_key(t) for t in enumerate_tlp(m, k)}
+                enumerated = set(enumerate_tlp(m, k))
                 image = images.get(k, {})
                 if image.keys() != enumerated:
                     missing = enumerated - image.keys()
                     extra = image.keys() - enumerated
-                    if missing:
-                        first = min(missing)
-                        witness = next(t for t in enumerate_tlp(m, k) if _triple_key(t) == first)
-                    else:
-                        witness = gamma(image[min(extra)])
+                    witness = min(missing or extra)
                     failure = (
                         f"k={k}: image misses {len(missing)} triples, adds {len(extra)}; "
                         f"first: {_triple_json(witness)}"
@@ -352,6 +342,8 @@ def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
                 "paths decode to (DB, IDES, DT-hat) on all {} permutations",
             )
         )
+        if m > TLP_ENUM_LIMIT:
+            continue
         seen: dict[tuple, Perm] = {}
         failure = None
         for p in iter_baxter(m):
@@ -556,27 +548,24 @@ def render_ascii(t: PathTriple) -> str:
     bottom first, so an (invalid) intersecting triple overdraws rather than
     fails.
     """
-    vertex_sets = [p.vertices() for p in t.paths()]
-    max_x = max(x for vs in vertex_sets for x, _ in vs)
-    max_y = max(y for vs in vertex_sets for _, y in vs)
+    paths = tuple(zip((BOTTOM_START, MIDDLE_START, TOP_START), (t.bottom, t.middle, t.top)))
+    # the paths are monotone, so their ends bound the grid
+    max_x = max(x + w.count("H") for (x, _), w in paths)
+    max_y = max(y + w.count("V") for (_, y), w in paths)
     width, height = 2 * max_x + 1, 2 * max_y + 1
     canvas = [
         ["." if row % 2 == 0 and col % 2 == 0 else " " for col in range(width)]
         for row in range(height)
     ]
-
-    def rc(x: int, y: int) -> tuple[int, int]:
-        return 2 * (max_y - y), 2 * x
-
-    for vs, mark in zip(vertex_sets, "BMT"):
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-            if x1 == x0 + 1:
-                row, col = rc(x0, y0)
+    for ((x, y), word), mark in zip(paths, "BMT"):
+        row, col = 2 * (max_y - y), 2 * x
+        canvas[row][col] = mark
+        for c in word:
+            if c == "H":
                 canvas[row][col + 1] = "-"
+                col += 2
             else:
-                row, col = rc(x0, y0 + 1)
-                canvas[row + 1][col] = "|"
-        for x, y in vs:
-            row, col = rc(x, y)
+                canvas[row - 1][col] = "|"
+                row -= 2
             canvas[row][col] = mark
     return "\n".join("".join(row).rstrip() for row in canvas)

@@ -9,7 +9,7 @@ import re
 from typing import Any
 
 from .laguerre import LaguerreHistory
-from .paths import LatticePath, PathTriple, tlp_parameters
+from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, tlp_parameters
 from .perm import Perm, as_permutation
 from .qseries import TQPoly
 
@@ -37,39 +37,33 @@ def perm_from_obj(obj: Any) -> Perm:
     raise ValueError(f"expected a JSON array or digit string, got {type(obj).__name__}")
 
 
-def path_to_obj(path: LatticePath) -> dict:
-    return {"start": list(path.start), "steps": path.steps}
-
-
-def path_from_obj(obj: Any) -> LatticePath:
-    if not isinstance(obj, dict) or set(obj) != {"start", "steps"}:
-        raise ValueError('a path object needs exactly the keys "start" and "steps"')
-    start = obj["start"]
-    if not isinstance(start, list) or len(start) != 2 or not all(_is_int(v) for v in start):
-        raise ValueError('"start" must be a [x, y] pair of integers')
-    if not isinstance(obj["steps"], str):
-        raise ValueError('"steps" must be a string over "HV"')
-    return LatticePath((start[0], start[1]), obj["steps"])
+_STARTS = {"bottom": BOTTOM_START, "middle": MIDDLE_START, "top": TOP_START}
 
 
 def triple_to_obj(t: PathTriple) -> dict:
     return {
-        "bottom": path_to_obj(t.bottom),
-        "middle": path_to_obj(t.middle),
-        "top": path_to_obj(t.top),
+        name: {"start": list(start), "steps": getattr(t, name)} for name, start in _STARTS.items()
     }
 
 
 def triple_from_obj(obj: Any, strict: bool = False) -> PathTriple:
-    """Load a triple; with ``strict`` also require vertex-disjointness and
-    equal horizontal-step counts."""
-    if not isinstance(obj, dict) or set(obj) != {"bottom", "middle", "top"}:
+    """Load a triple, each path from its fixed start; with ``strict`` also
+    require vertex-disjointness and equal horizontal-step counts."""
+    if not isinstance(obj, dict) or set(obj) != set(_STARTS):
         raise ValueError('a triple object needs exactly the keys "bottom", "middle", "top"')
-    t = PathTriple(
-        path_from_obj(obj["bottom"]),
-        path_from_obj(obj["middle"]),
-        path_from_obj(obj["top"]),
-    )
+    paths = [obj[name] for name in _STARTS]
+    for path in paths:
+        if not isinstance(path, dict) or set(path) != {"start", "steps"}:
+            raise ValueError('a path object needs exactly the keys "start" and "steps"')
+        start = path["start"]
+        if not isinstance(start, list) or len(start) != 2 or not all(_is_int(v) for v in start):
+            raise ValueError('"start" must be a [x, y] pair of integers')
+        if not isinstance(path["steps"], str):
+            raise ValueError('"steps" must be a string over "HV"')
+    t = PathTriple(*(path["steps"] for path in paths))
+    for path, (name, want) in zip(paths, _STARTS.items()):
+        if tuple(path["start"]) != want:
+            raise ValueError(f"{name} path must start at {want}, got {tuple(path['start'])}")
     if strict:
         tlp_parameters(t)
     return t

@@ -1,4 +1,4 @@
-"""Monotone H/V lattice paths in the quarter plane and triples thereof."""
+"""Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2), as step words."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,88 +12,47 @@ MIDDLE_START: Point = (1, 1)
 TOP_START: Point = (0, 2)
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """A path of unit steps H = (+1, 0) and V = (0, +1) from ``start``."""
-
-    start: Point
-    steps: str
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in self.start):
-            raise ValueError(f"start coordinates must be integers: {self.start!r}")
-        x, y = self.start
-        if x < 0 or y < 0:
-            raise ValueError(f"start {self.start!r} lies outside the quarter plane")
-        if set(self.steps) - set("HV"):
-            raise ValueError(f"steps must be a word over 'HV': {self.steps!r}")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def end(self) -> Point:
-        return (
-            self.start[0] + self.steps.count("H"),
-            self.start[1] + self.steps.count("V"),
-        )
-
-    def vertices(self) -> tuple[Point, ...]:
-        """The len(steps) + 1 visited points, in travel order (for drawing)."""
-        x, y = self.start
-        out = [(x, y)]
-        for c in self.steps:
-            if c == "H":
-                x += 1
-            else:
-                y += 1
-            out.append((x, y))
-        return tuple(out)
-
-
-def encode_set(s: Iterable[int], length: int, start: Point) -> LatticePath:
-    """The path from ``start`` whose i-th step is horizontal iff i is in s."""
+def encode_set(s: Iterable[int], length: int) -> str:
+    """The step word whose i-th step is horizontal iff i is in s."""
     chosen = frozenset(s)
     bad = sorted(i for i in chosen if not 1 <= i <= length)
     if bad:
         raise ValueError(f"set elements {bad} fall outside 1..{length}")
-    return LatticePath(start, "".join("H" if i in chosen else "V" for i in range(1, length + 1)))
+    return "".join("H" if i in chosen else "V" for i in range(1, length + 1))
 
 
-def decode_path(path: LatticePath) -> frozenset[int]:
+def decode_path(steps: str) -> frozenset[int]:
     """Positions of the horizontal steps; inverse of :func:`encode_set`."""
-    return frozenset(i for i, c in enumerate(path.steps, start=1) if c == "H")
+    return frozenset(i for i, c in enumerate(steps, start=1) if c == "H")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PathTriple:
-    """Bottom/middle/top paths of equal length from (2,0), (1,1), (0,2)."""
+    """Step words of equal length of the paths from (2,0), (1,1), (0,2).
 
-    bottom: LatticePath
-    middle: LatticePath
-    top: LatticePath
+    Each word is over H = (+1, 0) and V = (0, +1).  The starts are fixed, so
+    the words are the whole triple; triples hash, and order as the tuples of
+    their words, which is the order of :func:`enumerate_tlp`.
+    """
+
+    bottom: str
+    middle: str
+    top: str
 
     def __post_init__(self) -> None:
+        for steps in (self.bottom, self.middle, self.top):
+            if not isinstance(steps, str) or steps.strip("HV"):
+                raise ValueError(f"steps must be a word over 'HV': {steps!r}")
         if not (len(self.bottom) == len(self.middle) == len(self.top)):
             raise ValueError(
                 "paths must have equal lengths, got "
                 f"{len(self.bottom)}/{len(self.middle)}/{len(self.top)}"
             )
-        for path, want, name in (
-            (self.bottom, BOTTOM_START, "bottom"),
-            (self.middle, MIDDLE_START, "middle"),
-            (self.top, TOP_START, "top"),
-        ):
-            if path.start != want:
-                raise ValueError(f"{name} path must start at {want}, got {path.start}")
 
     @property
     def n(self) -> int:
         """Size of the permutations this triple corresponds to."""
         return len(self.bottom) + 1
-
-    def paths(self) -> tuple[LatticePath, LatticePath, LatticePath]:
-        return (self.bottom, self.middle, self.top)
 
 
 def h_prefix(steps: str) -> list[int]:
@@ -112,7 +71,7 @@ def is_nonintersecting(t: PathTriple) -> bool:
     return all(
         ht <= hm <= hb
         for hb, hm, ht in zip(
-            h_prefix(t.bottom.steps), h_prefix(t.middle.steps), h_prefix(t.top.steps)
+            h_prefix(t.bottom), h_prefix(t.middle), h_prefix(t.top)
         )
     )
 
@@ -132,11 +91,11 @@ def tlp_parameters(t: PathTriple) -> tuple[int, int]:
     Raises ValueError naming the violated requirement otherwise.
     """
     n = t.n
-    k = t.bottom.steps.count("H")
-    if t.middle.steps.count("H") != k or t.top.steps.count("H") != k:
+    k = t.bottom.count("H")
+    if t.middle.count("H") != k or t.top.count("H") != k:
         raise ValueError(
             "paths must all have the same number of horizontal steps, got "
-            f"{k}/{t.middle.steps.count('H')}/{t.top.steps.count('H')}"
+            f"{k}/{t.middle.count('H')}/{t.top.count('H')}"
         )
     if not is_nonintersecting(t):
         raise ValueError("paths must be pairwise vertex-disjoint")
@@ -177,13 +136,11 @@ def enumerate_tlp(n: int, k: int) -> Iterator[PathTriple]:
     Each path is pruned against the prefix counts of the path below it (see
     :func:`is_nonintersecting`); the bottom path is free, as h(i) <= i.
     Ordered lexicographically by the concatenated step words (bottom, then
-    middle, then top; H < V), so the output is reproducible.
+    middle, then top; H < V), which is the order of :class:`PathTriple`.
     """
     expected_endpoints(n, k)  # argument validation
     m = n - 1
     for wb in _step_words(k, range(m + 1)):
-        bottom = LatticePath(BOTTOM_START, wb)
         for wm in _step_words(k, h_prefix(wb)):
-            middle = LatticePath(MIDDLE_START, wm)
             for wt in _step_words(k, h_prefix(wm)):
-                yield PathTriple(bottom, middle, LatticePath(TOP_START, wt))
+                yield PathTriple(wb, wm, wt)

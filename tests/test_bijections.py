@@ -14,15 +14,7 @@ from baxlab.bijections import (
 )
 from baxlab.harness import _check_insertion_cases, _scan
 from baxlab.laguerre import LaguerreHistory, enumerate_histories
-from baxlab.paths import (
-    BOTTOM_START,
-    MIDDLE_START,
-    TOP_START,
-    LatticePath,
-    PathTriple,
-    decode_path,
-    enumerate_tlp,
-)
+from baxlab.paths import PathTriple, decode_path, enumerate_tlp
 from baxlab.perm import identity, inverse, iter_baxter, stat_profile
 from vertex_oracles import (
     all_triples,
@@ -34,31 +26,23 @@ EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
 EX9_INV = (5, 1, 2, 4, 3, 9, 7, 8, 6)
 
 GAMMA_TRIPLE = PathTriple(
-    LatticePath(BOTTOM_START, "HVHVVHHV"),  # {1, 3, 6, 7}
-    LatticePath(MIDDLE_START, "VVHHVHVH"),  # {3, 4, 6, 8}
-    LatticePath(TOP_START, "VVHHVVHH"),  # {3, 4, 7, 8}
+    "HVHVVHHV",  # {1, 3, 6, 7}
+    "VVHHVHVH",  # {3, 4, 6, 8}
+    "VVHHVVHH",  # {3, 4, 7, 8}
 )
 PSI_TRIPLE = PathTriple(
-    LatticePath(BOTTOM_START, "HVHVVHHV"),  # {1, 3, 6, 7}
-    LatticePath(MIDDLE_START, "VVHHVHVH"),  # {3, 4, 6, 8}
-    LatticePath(TOP_START, "VVVHHHVH"),  # {4, 5, 6, 8}
+    "HVHVVHHV",  # {1, 3, 6, 7}
+    "VVHHVHVH",  # {3, 4, 6, 8}
+    "VVVHHHVH",  # {4, 5, 6, 8}
 )
 
 
 def all_vertical(n):
-    return PathTriple(
-        LatticePath(BOTTOM_START, "V" * (n - 1)),
-        LatticePath(MIDDLE_START, "V" * (n - 1)),
-        LatticePath(TOP_START, "V" * (n - 1)),
-    )
+    return PathTriple("V" * (n - 1), "V" * (n - 1), "V" * (n - 1))
 
 
 def single_h():
-    return PathTriple(
-        LatticePath(BOTTOM_START, "H"),
-        LatticePath(MIDDLE_START, "H"),
-        LatticePath(TOP_START, "H"),
-    )
+    return PathTriple("H", "H", "H")
 
 
 def test_gamma_golden():
@@ -140,7 +124,7 @@ def test_psi_round_trip(bax):
 
 def test_gamma_prime_inverse_case_two_golden():
     # last top step horizontal: the final letter must be rediscovered
-    assert GAMMA_TRIPLE.top.steps[-1] == "H"
+    assert GAMMA_TRIPLE.top[-1] == "H"
     assert gamma_prime_inverse(GAMMA_TRIPLE) == EX9_INV
 
 
@@ -191,15 +175,11 @@ def test_gamma_image_is_exactly_the_disjoint_triples(bax):
         by_k = {}
         for p in bax.get(n):
             t = gamma(p)
-            k = t.bottom.steps.count("H")
-            key = (t.bottom.steps, t.middle.steps, t.top.steps)
-            assert key not in by_k.setdefault(k, set())
-            by_k[k].add(key)
+            k = t.bottom.count("H")
+            assert t not in by_k.setdefault(k, set())
+            by_k[k].add(t)
         for k in range(n):
-            enumerated = {
-                (t.bottom.steps, t.middle.steps, t.top.steps) for t in enumerate_tlp(n, k)
-            }
-            assert by_k.get(k, set()) == enumerated
+            assert by_k.get(k, set()) == set(enumerate_tlp(n, k))
 
 
 def test_psi_encodings(bax):

@@ -1,20 +1,22 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from baxlab import cli, harness
-from baxlab.bijections import gamma
+from baxlab import cli, harness, jsonio
+from baxlab.bijections import gamma, gamma_prime, psi
 from baxlab.harness import render_ascii, run_suite
-from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, LatticePath, PathTriple
+from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
 from baxlab.perm import all_permutations
+from vertex_oracles import vertices
 
 
 def ex9_triple():
-    return PathTriple(
-        LatticePath(BOTTOM_START, "HVHVVHHV"),
-        LatticePath(MIDDLE_START, "VVHHVHVH"),
-        LatticePath(TOP_START, "VVHHVVHH"),
-    )
+    return PathTriple("HVHVVHHV", "VVHHVHVH", "VVHHVVHH")
 
 
 def test_run_suite_all_passes_at_small_n():
@@ -136,6 +138,21 @@ def test_gamma_image_failure_names_the_first_witness(monkeypatch):
     )
 
 
+def test_image_folds_stop_at_the_triple_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(harness, "TLP_ENUM_LIMIT", 3)
+    labels = [c.label for c in run_suite("bijection", 5).checks]
+    assert labels == ["gamma-image-n1", "gamma-image-n2", "gamma-image-n3"]
+    labels = [c.label for c in run_suite("lemma-encodings", 5).checks]
+    assert [x for x in labels if x.startswith("statistic-injectivity")] == [
+        "statistic-injectivity-n1",
+        "statistic-injectivity-n2",
+        "statistic-injectivity-n3",
+    ]
+    assert [x for x in labels if x.startswith("psi-encodings")] == [
+        f"psi-encodings-n{m}" for m in range(1, 6)
+    ]
+
+
 def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("BAXLAB_JOBS", "3")
     assert harness.default_jobs() == 3
@@ -161,17 +178,13 @@ def canvas_marks(text, mark):
 def test_render_ascii_traces_the_vertices():
     t = ex9_triple()
     text = render_ascii(t)
-    assert canvas_marks(text, "B") == set(t.bottom.vertices())
-    assert canvas_marks(text, "M") == set(t.middle.vertices())
-    assert canvas_marks(text, "T") == set(t.top.vertices())
+    assert canvas_marks(text, "B") == set(vertices(BOTTOM_START, t.bottom))
+    assert canvas_marks(text, "M") == set(vertices(MIDDLE_START, t.middle))
+    assert canvas_marks(text, "T") == set(vertices(TOP_START, t.top))
 
 
 def test_render_ascii_empty_triple_shows_three_markers():
-    t = PathTriple(
-        LatticePath(BOTTOM_START, ""),
-        LatticePath(MIDDLE_START, ""),
-        LatticePath(TOP_START, ""),
-    )
+    t = PathTriple("", "", "")
     text = render_ascii(t)
     assert canvas_marks(text, "B") == {(2, 0)}
     assert canvas_marks(text, "M") == {(1, 1)}
@@ -258,11 +271,28 @@ def test_cli_enum_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cli_enum_json_streams_the_listed_form(n, capsys):
+    for k in [None, *range(n)]:
+        ks = range(n) if k is None else [k]
+        rows = [json.dumps(jsonio.triple_to_obj(t)) for j in ks for t in enumerate_tlp(n, j)]
+        argv = ["enum", "--n", str(n), "--format", "json"]
+        assert cli.main(argv if k is None else [*argv, "--k", str(k)]) == 0
+        assert capsys.readouterr().out == "[" + ",\n ".join(rows) + "]\n"
+
+
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2", "--format", "csv"]])
 def test_cli_enum_rejects_sizes_below_one(argv, capsys):
     assert cli.main(["enum", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: n must be >= 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "count"])
+def test_cli_enum_rejects_a_bad_k_before_any_output(fmt, capsys):
+    assert cli.main(["enum", "--n", "3", "--k", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: k must lie in 0..2, got 3\n"
 
 
 def test_cli_invert_round_trip(tmp_path, capsys):
@@ -289,6 +319,75 @@ def test_cli_invert_rejects_crossing_triple(tmp_path, capsys):
     rc = cli.main(["invert", "--from", "gamma", "--in", str(path)])
     assert rc == 2
     assert "vertex-disjoint" in capsys.readouterr().err
+
+
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    deep = "[" * 200000
+    assert cli.main(["map", "--perm", deep, "--to", "gamma"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad permutation JSON: ") and captured.err.count("\n") == 1
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    assert cli.main(["invert", "--from", "psi", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad triple JSON: ") and captured.err.count("\n") == 1
+
+
+def run_cli(argv, stdin):
+    """Exit code, stdout and stderr of cli.main with the given stdin text."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def triple_objects(draw):
+    """Triple objects of equal-length words from the right starts, with up to
+    two paths spoiled: replaced whole, or given another start or steps."""
+    m = draw(st.integers(0, 7))
+    words = [draw(st.text("HV", min_size=m, max_size=m)) for _ in range(3)]
+    obj = jsonio.triple_to_obj(PathTriple(*words))
+    for name in draw(st.sets(st.sampled_from(sorted(obj)), max_size=2)):
+        part = draw(st.sampled_from(["path", "start", "steps"]))
+        if part == "path":
+            obj[name] = draw(json_values)
+        elif part == "start":
+            pairs = st.lists(st.integers(-1, 3), min_size=2, max_size=2)
+            obj[name]["start"] = draw(pairs | st.lists(st.booleans() | st.floats(0, 2), max_size=3))
+        else:
+            words = st.text("HV", max_size=m + 1) | st.text("HVX ", max_size=6)
+            obj[name]["steps"] = draw(words | json_values)
+    return obj
+
+
+disjoint_triples = st.sampled_from(
+    [jsonio.triple_to_obj(t) for n in range(1, 7) for k in range(n) for t in enumerate_tlp(n, k)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["gamma", "gamma-prime", "psi"]),
+    json_values | triple_objects() | disjoint_triples,
+)
+def test_cli_invert_answers_or_names_one_error(source, obj):
+    rc, out, err = run_cli(["invert", "--from", source, "--in", "-"], json.dumps(obj))
+    if rc == 0:
+        forward = {"gamma": gamma, "gamma-prime": gamma_prime, "psi": psi}[source]
+        assert err == "" and jsonio.triple_to_obj(forward(tuple(json.loads(out)))) == obj
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_invert_missing_file(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,8 +7,6 @@ from hypothesis import strategies as st
 from baxlab.jsonio import (
     history_from_obj,
     history_to_obj,
-    path_from_obj,
-    path_to_obj,
     perm_from_obj,
     perm_to_obj,
     triple_from_obj,
@@ -15,7 +15,7 @@ from baxlab.jsonio import (
     tqpoly_to_obj,
 )
 from baxlab.laguerre import LaguerreHistory
-from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, LatticePath, PathTriple
+from baxlab.paths import PathTriple
 from baxlab.qseries import TQPoly, baxter_polynomial_rhs
 
 perms = st.integers(1, 9).flatmap(
@@ -44,27 +44,52 @@ def test_perm_round_trip(p):
     assert perm_from_obj(perm_to_obj(p)) == p
 
 
+def with_path(name, path):
+    """The ex9 triple's JSON form with one path object replaced."""
+    return {**triple_to_obj(ex9_triple()), name: path}
+
+
 def test_path_forms():
-    path = LatticePath((1, 1), "HVVH")
-    obj = path_to_obj(path)
-    assert obj == {"start": [1, 1], "steps": "HVVH"}
-    assert path_from_obj(obj) == path
-    with pytest.raises(ValueError):
-        path_from_obj({"start": [1, 1]})
-    with pytest.raises(ValueError):
-        path_from_obj({"start": [1], "steps": "H"})
-    with pytest.raises(ValueError):
-        path_from_obj({"start": [1, 1], "steps": "HX"})
-    with pytest.raises(ValueError):
-        path_from_obj({"start": [-1, 0], "steps": "H"})
+    # each path of a triple keeps its JSON form, its fixed start included
+    obj = triple_to_obj(PathTriple("HVVH", "VHVH", "VVHH"))
+    assert obj == {
+        "bottom": {"start": [2, 0], "steps": "HVVH"},
+        "middle": {"start": [1, 1], "steps": "VHVH"},
+        "top": {"start": [0, 2], "steps": "VVHH"},
+    }
+    for path, message in [
+        ({"start": [1, 1]}, 'exactly the keys "start" and "steps"'),
+        ({"start": [1, 1], "steps": "HVVH", "x": 0}, 'exactly the keys "start" and "steps"'),
+        (["start", "steps"], 'exactly the keys "start" and "steps"'),
+        ({"start": [1], "steps": "HVVH"}, r'"start" must be a \[x, y\] pair of integers'),
+        ({"start": [1, 1], "steps": ["H"]}, '"steps" must be a string'),
+        ({"start": [1, 1], "steps": "HXVH"}, "steps must be a word over 'HV': 'HXVH'"),
+        ({"start": [1, 1], "steps": "HVV"}, "paths must have equal lengths, got 8/3/8"),
+        ({"start": [-1, 0], "steps": "VVHHVHVH"}, r"middle path must start at \(1, 1\), got \(-1, 0\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            triple_from_obj(with_path("middle", path))
+
+
+@pytest.mark.parametrize(
+    "name, start, want",
+    [("bottom", [0, 2], (2, 0)), ("middle", [2, 0], (1, 1)), ("top", [1, 1], (0, 2))],
+)
+def test_triple_from_obj_rejects_a_wrong_start(name, start, want):
+    path = {"start": start, "steps": triple_to_obj(ex9_triple())[name]["steps"]}
+    message = f"{name} path must start at {want}, got {tuple(start)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        triple_from_obj(with_path(name, path))
+
+
+@pytest.mark.parametrize("start", [[1.5, 0], ["a", 0], [True, 0], [0, False]])
+def test_triple_from_obj_rejects_non_integer_starts(start):
+    with pytest.raises(ValueError, match="integers"):
+        triple_from_obj(with_path("bottom", {"start": start, "steps": "HVHVVHHV"}))
 
 
 def ex9_triple():
-    return PathTriple(
-        LatticePath(BOTTOM_START, "HVHVVHHV"),
-        LatticePath(MIDDLE_START, "VVHHVHVH"),
-        LatticePath(TOP_START, "VVHHVVHH"),
-    )
+    return PathTriple("HVHVVHHV", "VVHHVHVH", "VVHHVVHH")
 
 
 def test_triple_round_trip():
@@ -74,11 +99,7 @@ def test_triple_round_trip():
 
 
 def test_triple_strict_mode_names_disjointness():
-    crossing = PathTriple(
-        LatticePath(BOTTOM_START, "HV"),
-        LatticePath(MIDDLE_START, "VH"),
-        LatticePath(TOP_START, "HV"),
-    )
+    crossing = PathTriple("HV", "VH", "HV")
     obj = triple_to_obj(crossing)
     assert triple_from_obj(obj) == crossing  # lenient load is fine
     with pytest.raises(ValueError, match="vertex-disjoint"):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baxlab.jsonio import triple_from_obj
 from baxlab.paths import (
     BOTTOM_START,
     MIDDLE_START,
     TOP_START,
-    LatticePath,
     PathTriple,
     decode_path,
     encode_set,
@@ -18,11 +18,11 @@ from baxlab.paths import (
     is_nonintersecting,
     tlp_parameters,
 )
-from vertex_oracles import all_triples, is_nonintersecting_by_vertices
+from vertex_oracles import all_triples, is_nonintersecting_by_vertices, vertices
 
-EX9_BOTTOM = LatticePath(BOTTOM_START, "HVHVVHHV")
-EX9_MIDDLE = LatticePath(MIDDLE_START, "VVHHVHVH")
-EX9_TOP = LatticePath(TOP_START, "VVHHVVHH")
+EX9_BOTTOM = "HVHVVHHV"
+EX9_MIDDLE = "VVHHVHVH"
+EX9_TOP = "VVHHVVHH"
 EX9_TRIPLE = PathTriple(EX9_BOTTOM, EX9_MIDDLE, EX9_TOP)
 
 
@@ -36,33 +36,31 @@ def brute_tlp(n, k):
 
     out = []
     for wb in words():
-        b = LatticePath(BOTTOM_START, wb)
-        vb = set(b.vertices())
+        vb = set(vertices(BOTTOM_START, wb))
         for wm in words():
-            mid = LatticePath(MIDDLE_START, wm)
-            vm = set(mid.vertices())
+            vm = set(vertices(MIDDLE_START, wm))
             if vb & vm:
                 continue
             for wt in words():
-                t = LatticePath(TOP_START, wt)
-                if (vb | vm) & set(t.vertices()):
+                if (vb | vm) & set(vertices(TOP_START, wt)):
                     continue
                 out.append((wb, wm, wt))
     return out
 
 
 def test_lattice_path_validation():
-    with pytest.raises(ValueError):
-        LatticePath((-1, 0), "H")
-    with pytest.raises(ValueError):
-        LatticePath((0, 0), "HX")
-    assert len(LatticePath((0, 0), "")) == 0
-
-
-@pytest.mark.parametrize("start", [(1.5, 0), ("a", 0), (True, 0), (0, False)])
-def test_lattice_path_rejects_non_integer_starts(start):
-    with pytest.raises(ValueError, match="integers"):
-        LatticePath(start, "H")
+    # a path is its step word; its start is fixed by its place in a triple
+    with pytest.raises(ValueError, match=r"bottom path must start at \(2, 0\), got \(-1, 0\)"):
+        triple_from_obj(
+            {
+                "bottom": {"start": [-1, 0], "steps": "H"},
+                "middle": {"start": list(MIDDLE_START), "steps": "H"},
+                "top": {"start": list(TOP_START), "steps": "H"},
+            }
+        )
+    with pytest.raises(ValueError, match=r"^steps must be a word over 'HV': 'HX'$"):
+        PathTriple("HX", "HV", "HV")
+    assert len(PathTriple("", "", "").bottom) == 0
 
 
 def test_h_prefix():
@@ -71,43 +69,44 @@ def test_h_prefix():
 
 
 def test_encode_set_golden():
-    assert encode_set({3, 4, 6, 8}, 8, (1, 1)) == EX9_MIDDLE
-    assert encode_set(set(), 5, (0, 2)) == LatticePath((0, 2), "VVVVV")
-    single = encode_set({1}, 1, (2, 0))
-    assert single.steps == "H" and single.end == (3, 0)
+    assert encode_set({3, 4, 6, 8}, 8) == EX9_MIDDLE
+    assert encode_set(set(), 5) == "VVVVV"
+    assert encode_set({1}, 1) == "H"
+    assert encode_set((), 0) == ""
 
 
 def test_encode_set_rejects_out_of_range():
     with pytest.raises(ValueError):
-        encode_set({0}, 3, (0, 0))
+        encode_set({0}, 3)
     with pytest.raises(ValueError):
-        encode_set({4}, 3, (0, 0))
+        encode_set({4}, 3)
 
 
 def test_decode_path_golden():
     assert decode_path(EX9_TOP) == frozenset({3, 4, 7, 8})
-    assert decode_path(LatticePath((0, 2), "VVV")) == frozenset()
-    assert decode_path(LatticePath((0, 0), "HVH")) == frozenset({1, 3})
+    assert decode_path("VVV") == frozenset()
+    assert decode_path("HVH") == frozenset({1, 3})
 
 
 def test_encode_decode_round_trip_all_subsets():
     for m in range(0, 11):
         for r in range(m + 1):
             for s in combinations(range(1, m + 1), r):
-                assert decode_path(encode_set(s, m, (0, 0))) == frozenset(s)
+                assert decode_path(encode_set(s, m)) == frozenset(s)
 
 
 @given(st.integers(0, 14).flatmap(lambda m: st.tuples(st.just(m), st.sets(st.integers(1, max(m, 1))))))
 def test_encode_decode_round_trip_random(mo):
     m, s = mo
     s = {i for i in s if i <= m}
-    assert decode_path(encode_set(s, m, (3, 5))) == frozenset(s)
+    assert decode_path(encode_set(s, m)) == frozenset(s)
 
 
 def test_vertices_goldens():
-    assert LatticePath((2, 0), "HV").vertices() == ((2, 0), (3, 0), (3, 1))
-    assert LatticePath((0, 2), "").vertices() == ((0, 2),)
-    assert EX9_BOTTOM.vertices() == (
+    # the oracle that the vertex-set tests and the renderer test read
+    assert vertices((2, 0), "HV") == ((2, 0), (3, 0), (3, 1))
+    assert vertices((0, 2), "") == ((0, 2),)
+    assert vertices(BOTTOM_START, EX9_BOTTOM) == (
         (2, 0),
         (3, 0),
         (3, 1),
@@ -121,33 +120,33 @@ def test_vertices_goldens():
 
 
 def test_path_triple_validation():
-    with pytest.raises(ValueError):
-        PathTriple(EX9_BOTTOM, EX9_MIDDLE, LatticePath(TOP_START, "VV"))
-    with pytest.raises(ValueError):
-        PathTriple(EX9_MIDDLE, EX9_BOTTOM, EX9_TOP)
+    with pytest.raises(ValueError, match=r"^paths must have equal lengths, got 8/8/2$"):
+        PathTriple(EX9_BOTTOM, EX9_MIDDLE, "VV")
+    for bad in ("HX", "hv", "H V", None, ["H", "V"]):
+        with pytest.raises(ValueError, match=r"^steps must be a word over 'HV': "):
+            PathTriple("HV", bad, "HV")
     assert EX9_TRIPLE.n == 9
+    assert PathTriple("", "", "").n == 1
+
+
+def test_path_triples_are_values_ordered_by_their_words():
+    t = PathTriple(EX9_BOTTOM, EX9_MIDDLE, EX9_TOP)
+    assert t == EX9_TRIPLE and hash(t) == hash(EX9_TRIPLE)
+    assert len({t, EX9_TRIPLE}) == 1
+    assert not hasattr(t, "__dict__")  # slotted: sets of many triples stay small
+    assert PathTriple("HV", "HV", "VH") < PathTriple("HV", "VH", "HV") < PathTriple("VH", "HV", "HV")
+    with pytest.raises(AttributeError):
+        t.top = "HHHHVVVV"
 
 
 def test_is_nonintersecting():
     assert is_nonintersecting(EX9_TRIPLE)
-    vertical = PathTriple(
-        LatticePath(BOTTOM_START, "VVV"),
-        LatticePath(MIDDLE_START, "VVV"),
-        LatticePath(TOP_START, "VVV"),
-    )
+    vertical = PathTriple("VVV", "VVV", "VVV")
     assert is_nonintersecting(vertical)
-    crossing = PathTriple(
-        LatticePath(BOTTOM_START, "V"),
-        LatticePath(MIDDLE_START, "H"),
-        LatticePath(TOP_START, "V"),
-    )
+    crossing = PathTriple("V", "H", "V")
     # both bottom and middle visit (2, 1)
     assert not is_nonintersecting(crossing)
-    balanced_crossing = PathTriple(
-        LatticePath(BOTTOM_START, "HV"),
-        LatticePath(MIDDLE_START, "VH"),
-        LatticePath(TOP_START, "HV"),
-    )
+    balanced_crossing = PathTriple("HV", "VH", "HV")
     # middle and top both visit (1, 2), with one horizontal step each
     assert not is_nonintersecting(balanced_crossing)
     with pytest.raises(ValueError, match="vertex-disjoint"):
@@ -161,11 +160,7 @@ def test_is_nonintersecting_matches_vertex_oracle():
 
 
 def test_tlp_parameters_requires_equal_h_counts():
-    t = PathTriple(
-        LatticePath(BOTTOM_START, "HV"),
-        LatticePath(MIDDLE_START, "VV"),
-        LatticePath(TOP_START, "VV"),
-    )
+    t = PathTriple("HV", "VV", "VV")
     with pytest.raises(ValueError, match="horizontal"):
         tlp_parameters(t)
     assert tlp_parameters(EX9_TRIPLE) == (9, 4)
@@ -184,11 +179,11 @@ def test_expected_endpoints():
 def test_enumerate_tlp_small_cases():
     only = list(enumerate_tlp(2, 1))
     assert len(only) == 1
-    assert only[0].bottom.steps == only[0].middle.steps == only[0].top.steps == "H"
+    assert only == [PathTriple("H", "H", "H")]
 
     empty = list(enumerate_tlp(1, 0))
     assert len(empty) == 1
-    assert empty[0].bottom.steps == ""
+    assert empty == [PathTriple("", "", "")]
 
     assert sum(1 for _ in enumerate_tlp(3, 1)) == 4
 
@@ -196,10 +191,10 @@ def test_enumerate_tlp_small_cases():
 def test_enumerate_tlp_matches_brute_force_and_is_sorted():
     for n in range(1, 6):
         for k in range(n):
-            got = [(t.bottom.steps, t.middle.steps, t.top.steps) for t in enumerate_tlp(n, k)]
+            got = list(enumerate_tlp(n, k))
             assert got == sorted(got)
             assert len(set(got)) == len(got)
-            assert got == sorted(brute_tlp(n, k))
+            assert [(t.bottom, t.middle, t.top) for t in got] == sorted(brute_tlp(n, k))
 
 
 def test_enumerate_tlp_members_satisfy_invariants():
@@ -207,7 +202,15 @@ def test_enumerate_tlp_members_satisfy_invariants():
         for k in range(n):
             for t in enumerate_tlp(n, k):
                 assert tlp_parameters(t) == (n, k)
-                assert (t.bottom.end, t.middle.end, t.top.end) == expected_endpoints(n, k)
+                ends = tuple(
+                    vertices(start, steps)[-1]
+                    for start, steps in (
+                        (BOTTOM_START, t.bottom),
+                        (MIDDLE_START, t.middle),
+                        (TOP_START, t.top),
+                    )
+                )
+                assert ends == expected_endpoints(n, k)
 
 
 def test_enumerate_tlp_counts_match_formula_up_to_nine():

@@ -1,5 +1,6 @@
 """The vertex-set definitions that the prefix-count code replaced, kept as
-test oracles, and the exhaustive source of triples they are checked on."""
+test oracles, the vertices they read, and the exhaustive source of triples
+they are checked on."""
 from itertools import product
 
 from baxlab.bijections import NotInImageError, psi_inverse
@@ -7,7 +8,6 @@ from baxlab.paths import (
     BOTTOM_START,
     MIDDLE_START,
     TOP_START,
-    LatticePath,
     PathTriple,
     decode_path,
     encode_set,
@@ -15,20 +15,31 @@ from baxlab.paths import (
 )
 
 
+def vertices(start, steps):
+    """The len(steps) + 1 points a path from start visits, in travel order."""
+    x, y = start
+    out = [(x, y)]
+    for c in steps:
+        if c == "H":
+            x += 1
+        else:
+            y += 1
+        out.append((x, y))
+    return tuple(out)
+
+
 def all_triples(m):
     """Every triple of m-step paths, crossing ones included."""
     words = ["".join(w) for w in product("HV", repeat=m)]
     for wb, wm, wt in product(words, repeat=3):
-        yield PathTriple(
-            LatticePath(BOTTOM_START, wb), LatticePath(MIDDLE_START, wm), LatticePath(TOP_START, wt)
-        )
+        yield PathTriple(wb, wm, wt)
 
 
 def is_nonintersecting_by_vertices(t):
     """True iff the three vertex sets are pairwise disjoint (endpoints included)."""
-    vb = set(t.bottom.vertices())
-    vm = set(t.middle.vertices())
-    vt = set(t.top.vertices())
+    vb = set(vertices(BOTTOM_START, t.bottom))
+    vm = set(vertices(MIDDLE_START, t.middle))
+    vt = set(vertices(TOP_START, t.top))
     return not (vb & vm) and not (vb & vt) and not (vm & vt)
 
 
@@ -41,15 +52,15 @@ def gamma_prime_inverse_by_search(t):
     n, _ = tlp_parameters(t)
     m = n - 1
     shifted = {i + 1 for i in decode_path(t.top)}
-    if m == 0 or t.top.steps[-1] == "V":
-        return psi_inverse(PathTriple(t.bottom, t.middle, encode_set(shifted, m, TOP_START)))
+    if m == 0 or t.top[-1] == "V":
+        return psi_inverse(PathTriple(t.bottom, t.middle, encode_set(shifted, m)))
     s = shifted - {n}
-    mverts = t.middle.vertices()
+    mverts = vertices(MIDDLE_START, t.middle)
     mset = frozenset(mverts)
     candidates = []
     for j in sorted(set(range(1, n)) - s):
-        cand = encode_set(s | {j}, m, TOP_START)
-        cverts = cand.vertices()
+        cand = encode_set(s | {j}, m)
+        cverts = vertices(TOP_START, cand)
         if mset & frozenset(cverts):
             continue
         dx = mverts[j - 1][0] - cverts[j - 1][0]
