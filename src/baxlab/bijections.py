@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .laguerre import LaguerreHistory, MalformedHistoryError, psi_fv, psi_fv_inverse, validate
 from .paths import PathTriple, encode_set, h_prefix, tlp_parameters
-from .perm import Perm, inverse, is_baxter, stat_profile
+from .perm import Perm, check_permutation, inverse, is_baxter, stat_profile
 
 
 class NotBaxterError(ValueError):
@@ -51,6 +51,8 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (DB, IDES, DT - 1); equals ``gamma`` of the inverse."""
+    if checked:
+        check_permutation(p)  # before inverse() indexes by value
     return gamma(inverse(p), checked=checked)
 
 
@@ -93,6 +95,11 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
     vertex from the bottom's.
     """
     tlp_parameters(t)
+    return _phi_inverse(t)
+
+
+def _phi_inverse(t: PathTriple) -> LaguerreHistory:
+    """:func:`phi_inverse` of a triple that passes :func:`tlp_parameters`."""
     pair_to_letter = {
         ("V", "H"): "U",
         ("H", "V"): "D",
@@ -137,6 +144,11 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
       counts before step j).  With gap(i) = h_mid(i) - h_s(i), exactly one j
       qualifies: one past the last zero of gap.  It always exists, since
       gap >= 0 (h_s(i) = h_top(i - 1) <= h_mid(i)) and gap ends at 1.
+
+    The rewritten top keeps the k H steps of t's top, and h_s rises by one
+    only past the last zero of gap, where gap >= 1, so h_s <= h_mid still
+    holds: the rewritten triple passes :func:`tlp_parameters` and is not
+    checked again.
     """
     tlp_parameters(t)
     word = ("V" + t.top)[:-1]
@@ -144,7 +156,7 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
         gap = [a - b for a, b in zip(h_prefix(t.middle), h_prefix(word))]
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
-    return psi_inverse(PathTriple(t.bottom, t.middle, word))
+    return psi_fv_inverse(_phi_inverse(PathTriple(t.bottom, t.middle, word)))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

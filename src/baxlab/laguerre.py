@@ -6,10 +6,11 @@ may range over 1..h_i, where h_i is one plus the height before step i.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .perm import LetterClass, Perm, classify_letters
+from .perm import LetterClass, Perm, check_permutation, classify_letters
 
 LETTERS = "UDBR"
 
@@ -112,20 +113,30 @@ def psi_fv(p: Perm) -> LaguerreHistory:
     Step i comes from the class of letter i (valley -> U, peak -> D, double
     descent -> B, double ascent -> R).  Weight i is one plus the number of
     descent pairs strictly left of i's position that straddle i in value,
-    i.e. the nesting depth at which i sits.
+    i.e. the nesting depth at which i sits.  One left-to-right sweep keeps
+    the tops and the bottoms of the descent pairs passed so far sorted; no
+    pair value equals i, so the straddling pairs are those with a bottom
+    below i less those with a top below i, two bisections.
+
+    Raises :class:`~baxlab.perm.InvalidPermutationError` unless p is a
+    permutation of 1..len(p).
 
     >>> h = psi_fv((5, 1, 2, 4, 3, 9, 7, 8, 6))
     >>> h.word, h.weights
     ('URUDDBUD', (1, 2, 2, 2, 1, 1, 1, 2))
     """
+    check_permutation(p)
     n = len(p)
-    pos = {v: i for i, v in enumerate(p)}  # 0-based positions
     word = "".join(_CLASS_TO_LETTER[c] for c in classify_letters(p))
-    weights = []
-    for i in range(1, n):
-        k = pos[i]
-        weights.append(1 + sum(1 for j in range(1, k) if p[j] < i < p[j - 1]))
-    return LaguerreHistory(word, tuple(weights))
+    weight = [0] * (n + 1)  # weight[v] for the letter v
+    tops: list[int] = []
+    bottoms: list[int] = []
+    for k, v in enumerate(p):
+        weight[v] = 1 + bisect_left(bottoms, v) - bisect_right(tops, v)
+        if k and p[k - 1] > v:
+            insort(tops, p[k - 1])
+            insort(bottoms, v)
+    return LaguerreHistory(word, tuple(weight[1:n]))
 
 
 def psi_fv_inverse(h: LaguerreHistory) -> Perm:
@@ -140,29 +151,45 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
     and the one placeholder left at the end becomes n.  The number of
     placeholders after step i is 1 + #U - #D, so a history that passes
     :func:`validate` can never run out.
+
+    The rewrites grow a binary tree whose in-order walk is the permutation:
+    letter i hangs in the hole it fills, and its holes are its children.
+    Only the open holes are listed, in left-to-right order, each as a child
+    slot ``2 * parent + side`` (0 left, 1 right; the root hangs in slot 1 of
+    a virtual letter 0), so a step is one slice assignment on that list.
     """
     n = len(h) + 1
-    word: list[int | None] = [None]
+    child = [0] * (2 * n + 2)  # child[2 * v + side]; 0 = no letter
+    holes = [1]
     for i, (c, mu) in enumerate(zip(h.word, h.weights), start=1):
-        holes = [idx for idx, v in enumerate(word) if v is None]
         if not 1 <= mu <= len(holes):
             raise MalformedHistoryError(
                 f"step {i}: weight {mu} but only {len(holes)} placeholders"
             )
-        at = holes[mu - 1]
+        child[holes[mu - 1]] = i
+        s = 2 * i
         if c == "U":
-            word[at : at + 1] = [None, i, None]
+            holes[mu - 1 : mu] = (s, s + 1)
         elif c == "R":
-            word[at : at + 1] = [i, None]
+            holes[mu - 1 : mu] = (s + 1,)
         elif c == "D":
-            word[at : at + 1] = [i]
+            del holes[mu - 1]
         else:
-            word[at : at + 1] = [None, i]
-    holes = [idx for idx, v in enumerate(word) if v is None]
+            holes[mu - 1 : mu] = (s,)
     if len(holes) != 1:
         raise MalformedHistoryError(f"{len(holes)} placeholders remain at the end")
-    word[holes[0]] = n
-    return tuple(word)  # type: ignore[arg-type]
+    child[holes[0]] = n
+    out = []
+    stack = []
+    v = child[1]
+    while v or stack:
+        while v:
+            stack.append(v)
+            v = child[2 * v]
+        v = stack.pop()
+        out.append(v)
+        v = child[2 * v + 1]
+    return tuple(out)
 
 
 def _motzkin_words(length: int) -> Iterator[str]:

@@ -8,6 +8,7 @@ applies.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -25,12 +26,23 @@ def as_permutation(word: Iterable[int]) -> Perm:
     >>> as_permutation([2, 1, 3])
     (2, 1, 3)
     """
-    p = tuple(int(v) for v in word)
+    p = tuple(word)
     if len(p) < 1:
         raise InvalidPermutationError("a permutation must have length >= 1")
+    check_permutation(p)
+    return p
+
+
+def check_permutation(p: Perm) -> None:
+    """Raise unless p holds exactly the integers 1..len(p).
+
+    Every entry must be an ``int`` proper: ``True`` and ``1.0`` compare equal
+    to 1 but are not permutation entries.
+    """
+    if not {int}.issuperset(map(type, p)):
+        raise InvalidPermutationError(f"permutation entries must be integers: {p!r}")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {p!r}")
-    return p
 
 
 def identity(n: int) -> Perm:
@@ -160,36 +172,45 @@ def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
 def is_baxter(p: Perm) -> bool:
     """Whether p avoids the vincular patterns 2-41-3 and 3-14-2.
 
-    Both patterns pin "41" (resp. "14") to an adjacent pair and ask for one
-    earlier and one later letter strictly between the pair values, ordered
-    against the pair.  For each adjacent pair it therefore suffices to scan
-    the prefix for the most extreme in-window letter and the suffix for a
-    partner, which keeps the whole check at O(n^2).
+    Both patterns pin "41" (resp. "14") to an adjacent pair (a, b) and ask
+    for an earlier letter x and a later letter y, both strictly between b and
+    a, with x < y (resp. y < x).  It suffices to take x as the earlier letter
+    in the window closest to b.  One left-to-right sweep keeps the earlier
+    letters sorted: x is found by bisection, and since p holds exactly the
+    values 1..n, a later y in the window (x, a) exists iff that window holds
+    more values than earlier letters, which is a count, not a scan.  The
+    sweep makes O(n log n) comparisons; each insertion into the sorted list
+    is one memmove of at most n pointers.
+
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
 
     >>> is_baxter((2, 4, 1, 3))
     False
     >>> is_baxter((2, 3, 5, 4, 1, 9, 7, 8, 6))
     True
     """
-    n = len(p)
-    for j in range(n - 1):
+    check_permutation(p)
+    seen: list[int] = []  # the letters before the current pair, sorted
+    for j in range(len(p) - 1):
         a, b = p[j], p[j + 1]
         if a > b:
-            # 2-41-3: some earlier x and later y with b < x < y < a
-            best = None
-            for i in range(j):
-                if b < p[i] < a and (best is None or p[i] < best):
-                    best = p[i]
-            if best is not None and any(best < p[k] < a for k in range(j + 2, n)):
+            # 2-41-3: x is the smallest of the cnt earlier letters in (b, a);
+            # the other cnt - 1 are all that (x, a) holds of its a - x - 1
+            # values before the pair, so a later y exists iff a - x > cnt
+            lo = bisect_right(seen, b)
+            cnt = bisect_left(seen, a) - lo
+            if cnt and a - seen[lo] > cnt:
                 return False
         else:
-            # 3-14-2: some earlier x and later y with a < y < x < b
-            best = None
-            for i in range(j):
-                if a < p[i] < b and (best is None or p[i] > best):
-                    best = p[i]
-            if best is not None and any(a < p[k] < best for k in range(j + 2, n)):
+            # 3-14-2: x is the largest of the cnt earlier letters in (a, b);
+            # the other cnt - 1 are all that (a, x) holds of its x - a - 1
+            # values before the pair, so a later y exists iff x - a > cnt
+            hi = bisect_left(seen, b)
+            cnt = hi - bisect_right(seen, a)
+            if cnt and seen[hi - 1] - a > cnt:
                 return False
+        insort(seen, a)
     return True
 
 

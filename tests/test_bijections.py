@@ -1,5 +1,6 @@
 import pytest
 
+from baxlab import bijections
 from baxlab.bijections import (
     MalformedMiddleError,
     NotBaxterError,
@@ -13,9 +14,17 @@ from baxlab.bijections import (
     psi_inverse,
 )
 from baxlab.harness import _check_insertion_cases, _scan
-from baxlab.laguerre import LaguerreHistory, enumerate_histories
+from baxlab.laguerre import LaguerreHistory, enumerate_histories, psi_fv
 from baxlab.paths import PathTriple, decode_path, enumerate_tlp
-from baxlab.perm import identity, inverse, iter_baxter, stat_profile
+from baxlab.perm import (
+    InvalidPermutationError,
+    identity,
+    inverse,
+    is_baxter,
+    iter_baxter,
+    stat_profile,
+)
+from fv_oracles import psi_fv_inverse_by_rescan
 from vertex_oracles import (
     all_triples,
     gamma_prime_inverse_by_search,
@@ -148,6 +157,61 @@ def test_gamma_prime_inverse_matches_candidate_search():
     for m in range(0, 4):
         for t in all_triples(m):
             assert outcome(gamma_prime_inverse, t) == outcome(gamma_prime_inverse_by_search, t), t
+
+
+def _outcome_and_message(f, t):
+    try:
+        return f(t)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "inv, t",
+    [(gamma_inverse, GAMMA_TRIPLE), (gamma_prime_inverse, GAMMA_TRIPLE), (psi_inverse, PSI_TRIPLE)],
+)
+def test_inverses_check_each_triple_once(monkeypatch, inv, t):
+    checked = []
+    real = bijections.tlp_parameters
+
+    def counting(triple):
+        checked.append(triple)
+        return real(triple)
+
+    monkeypatch.setattr(bijections, "tlp_parameters", counting)
+    inv(t)
+    assert checked == [t]
+
+
+def test_single_check_inverses_match_the_double_check_route(monkeypatch):
+    # before, phi_inverse checked the triple that gamma_prime_inverse rewrote
+    core = bijections._phi_inverse
+
+    def checked_core(t):
+        bijections.tlp_parameters(t)
+        return core(t)
+
+    def old_gamma_prime_inverse(t):
+        with monkeypatch.context() as m:
+            m.setattr(bijections, "_phi_inverse", checked_core)
+            return gamma_prime_inverse(t)
+
+    def old_psi_inverse(t):
+        return psi_fv_inverse_by_rescan(phi_inverse(t))
+
+    for m in range(0, 5):
+        for t in all_triples(m):
+            for new, old in ((gamma_prime_inverse, old_gamma_prime_inverse), (psi_inverse, old_psi_inverse)):
+                assert _outcome_and_message(new, t) == _outcome_and_message(old, t), t
+
+
+@pytest.mark.parametrize(
+    "bad", [(10, 40, 20), (1, 1), (0, 1), (2, 3), (2.0, 1.0), (True, 2), ("1",), (1, None)]
+)
+def test_maps_reject_non_permutations(bad):
+    for f in (is_baxter, psi_fv, gamma, gamma_prime, psi):
+        with pytest.raises(InvalidPermutationError):
+            f(bad)
 
 
 def test_gamma_inverse_golden():

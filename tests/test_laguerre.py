@@ -1,10 +1,12 @@
+from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baxlab.laguerre import (
+    LETTERS,
     LaguerreHistory,
     MalformedHistoryError,
     enumerate_histories,
@@ -14,8 +16,15 @@ from baxlab.laguerre import (
     psi_fv_inverse,
     validate,
 )
-from baxlab.perm import all_permutations, is_baxter_bruteforce
+from baxlab.perm import (
+    all_permutations,
+    insertion_slots,
+    is_baxter,
+    is_baxter_bruteforce,
+    iter_baxter,
+)
 from baxlab.qseries import baxter_number
+from fv_oracles import is_baxter_by_scan, psi_fv_by_scan, psi_fv_inverse_by_rescan
 
 EX9_HISTORY = LaguerreHistory("URUDDBUD", (1, 2, 2, 2, 1, 1, 1, 2))
 EX9_PERM = (5, 1, 2, 4, 3, 9, 7, 8, 6)
@@ -124,3 +133,70 @@ def test_baxter_histories_match_pattern_avoidance():
     for n in range(1, 7):
         for p in all_permutations(n):
             assert validate(psi_fv(p)).baxter_ok == is_baxter_bruteforce(p)
+
+
+def _same_as_the_oracles(p):
+    h = psi_fv(p)
+    assert h == psi_fv_by_scan(p), p
+    assert psi_fv_inverse(h) == psi_fv_inverse_by_rescan(h) == p
+
+
+def test_psi_fv_and_inverse_match_the_quadratic_oracles_exhaustively():
+    for n in range(1, 9):
+        for p in all_permutations(n):
+            _same_as_the_oracles(p)
+    for p in iter_baxter(9):
+        _same_as_the_oracles(p)
+
+
+@st.composite
+def large_permutations(draw):
+    """A Baxter permutation grown by random insertions, then left as it is,
+    spoiled by one transposition, or replaced by a uniform permutation."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["baxter", "swapped", "uniform"]))
+    if kind == "uniform":
+        return tuple(draw(st.permutations(range(1, n + 1))))
+    p = (1,)
+    for m in range(2, n + 1):
+        slots = insertion_slots(p)
+        pos = slots[draw(st.integers(0, len(slots) - 1))]
+        p = p[: pos - 1] + (m,) + p[pos - 1 :]
+    if kind == "swapped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        q = list(p)
+        q[i], q[j] = q[j], q[i]
+        p = tuple(q)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_permutations())
+def test_cores_match_the_quadratic_oracles_up_to_n300(p):
+    # is_baxter_bruteforce is O(n^4); the quadratic scan stands in for it here
+    assert is_baxter(p) == is_baxter_by_scan(p)
+    _same_as_the_oracles(p)
+
+
+def _outcome(f, h):
+    try:
+        return f(h)
+    except MalformedHistoryError as exc:
+        return type(exc), str(exc)
+
+
+def test_psi_fv_inverse_fails_like_the_oracle_on_malformed_histories():
+    # every word of length <= 4 with every weight in 0..3: mostly malformed
+    for length in range(0, 5):
+        for word in product(LETTERS, repeat=length):
+            for weights in product(range(4), repeat=length):
+                h = LaguerreHistory("".join(word), weights)
+                assert _outcome(psi_fv_inverse, h) == _outcome(psi_fv_inverse_by_rescan, h), h
+
+
+@given(st.text(LETTERS, max_size=12).flatmap(
+    lambda w: st.tuples(st.just(w), st.tuples(*[st.integers(-1, 8)] * len(w)))
+))
+def test_psi_fv_inverse_fails_like_the_oracle_on_longer_histories(wh):
+    h = LaguerreHistory(*wh)
+    assert _outcome(psi_fv_inverse, h) == _outcome(psi_fv_inverse_by_rescan, h)

@@ -35,7 +35,10 @@ def test_as_permutation_accepts_valid_words():
     assert as_permutation((1,)) == (1,)
 
 
-@pytest.mark.parametrize("bad", [[], [0, 1], [1, 1], [2, 3], [1, 2, 4]])
+@pytest.mark.parametrize(
+    "bad",
+    [[], [0, 1], [1, 1], [2, 3], [1, 2, 4], [1.9, 2.2], [1.0, 2.0], ["2", "1"], [True, 2], [2, None]],
+)
 def test_as_permutation_rejects_invalid_words(bad):
     with pytest.raises(InvalidPermutationError):
         as_permutation(bad)
@@ -65,9 +68,10 @@ def test_is_baxter_known_cases():
 
 
 def test_is_baxter_matches_bruteforce_exhaustively():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for p in all_permutations(n):
             assert is_baxter(p) == is_baxter_bruteforce(p), p
+    assert all(is_baxter(p) for p in iter_baxter(9))
 
 
 @given(perms)
