@@ -11,13 +11,18 @@ inverse algorithms:
 
 ``gamma_prime`` and ``psi`` always agree on the bottom and middle paths; the
 inverse of ``gamma_prime`` works by rewriting the top path into ``psi`` form
-and delegating to ``psi_inverse``.
+and inverting that as ``psi_inverse`` does.
+
+Each public map checks its input once and then runs private cores over
+plain words and weight tuples, which trust their input.
 """
 from __future__ import annotations
 
-from .laguerre import LaguerreHistory, MalformedHistoryError, psi_fv, psi_fv_inverse, validate
-from .paths import PathTriple, encode_set, h_prefix, tlp_parameters
-from .perm import Perm, check_permutation, inverse, is_baxter, stat_profile
+from operator import add
+
+from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv, _psi_fv_inverse, _validity
+from .paths import PathTriple, h_prefix, tlp_parameters
+from .perm import Perm, _is_baxter, check_permutation, inverse
 
 
 class NotBaxterError(ValueError):
@@ -32,28 +37,43 @@ class MalformedMiddleError(ValueError):
     """The weights do not chain into a unit-step middle path."""
 
 
+def _gamma_words(p: Perm, q: Perm) -> tuple[str, str, str]:
+    """The IDB, DES and IDT - 1 step words of p, given q = inverse(p).
+
+    One pass over each: a descent q_i > q_{i+1} of q puts an H at bottom
+    step q_{i+1} and at top step q_i - 1, and a descent of p at position i
+    puts one at middle step i.
+    """
+    bottom = ["V"] * (len(p) - 1)
+    top = bottom.copy()
+    for a, b in zip(q, q[1:]):
+        if a > b:
+            bottom[b - 1] = "H"
+            top[a - 2] = "H"
+    middle = "".join(["H" if a > b else "V" for a, b in zip(p, p[1:])])
+    return "".join(bottom), middle, "".join(top)
+
+
 def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (IDB, DES, IDT - 1); defined on Baxter permutations.
 
-    With ``checked`` disabled the paths are built for any permutation, but
+    p must be a permutation either way.  With ``checked`` disabled the
+    Baxter test is skipped and the paths are built for any permutation, but
     they may then intersect or carry unequal step counts.
     """
-    if checked and not is_baxter(p):
+    check_permutation(p)
+    if checked and not _is_baxter(p):
         raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
-    prof = stat_profile(p)
-    m = len(p) - 1
-    return PathTriple(
-        encode_set(prof.idb_set, m),
-        encode_set(prof.des_set, m),
-        encode_set(prof.idt_mod_set, m),
-    )
+    return PathTriple(*_gamma_words(p, inverse(p)))
 
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (DB, IDES, DT - 1); equals ``gamma`` of the inverse."""
-    if checked:
-        check_permutation(p)  # before inverse() indexes by value
-    return gamma(inverse(p), checked=checked)
+    check_permutation(p)  # before inverse() indexes by value
+    q = inverse(p)
+    if checked and not _is_baxter(q):
+        raise NotBaxterError(f"{q!r} contains 2-41-3 or 3-14-2")
+    return PathTriple(*_gamma_words(q, p))
 
 
 def phi(h: LaguerreHistory) -> PathTriple:
@@ -68,23 +88,29 @@ def phi(h: LaguerreHistory) -> PathTriple:
     :class:`MalformedMiddleError` is raised.  The weight bounds
     1 <= mu_i <= h_i keep h_top <= h_mid <= h_bot, so the triple is disjoint.
     """
-    val = validate(h)
-    if not val.laguerre_ok:
+    if not _validity(h.word, h.weights).laguerre_ok:
         raise MalformedHistoryError("weights leave their bounds or word does not close")
-    bottom = "".join("H" if c in "UB" else "V" for c in h.word)
-    top = "".join("H" if c in "DB" else "V" for c in h.word)
+    return _phi(h.word, h.weights)
+
+
+_BOTTOM_STEPS = str.maketrans("UBDR", "HHVV")
+_TOP_STEPS = str.maketrans("DBUR", "HHVV")
+
+
+def _phi(word: str, weights: tuple[int, ...]) -> PathTriple:
+    """:func:`phi` of a history whose weights keep their bounds, unchecked."""
+    bottom = word.translate(_BOTTOM_STEPS)
     hb = h_prefix(bottom)
-    hm = [1 + b - w for b, w in zip(hb, h.weights)] + [hb[-1]]
-    middle = []
-    for i in range(len(h)):
-        d = hm[i + 1] - hm[i]
-        if d not in (0, 1):
-            raise MalformedMiddleError(
-                f"middle step {i + 1} would jump by ({d}, {1 - d}); "
-                "weights do not satisfy the increment rules"
-            )
-        middle.append("VH"[d])
-    return PathTriple(bottom, "".join(middle), top)
+    hm = [1 + b - w for b, w in zip(hb, weights)]
+    hm.append(hb[-1])
+    steps = [b - a for a, b in zip(hm, hm[1:])]
+    if not {0, 1}.issuperset(steps):
+        i, d = next((i, d) for i, d in enumerate(steps) if d not in (0, 1))
+        raise MalformedMiddleError(
+            f"middle step {i + 1} would jump by ({d}, {1 - d}); "
+            "weights do not satisfy the increment rules"
+        )
+    return PathTriple(bottom, "".join(["VH"[d] for d in steps]), word.translate(_TOP_STEPS))
 
 
 def phi_inverse(t: PathTriple) -> LaguerreHistory:
@@ -95,37 +121,42 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
     vertex from the bottom's.
     """
     tlp_parameters(t)
-    return _phi_inverse(t)
+    return LaguerreHistory(*_phi_inverse(t))
 
 
-def _phi_inverse(t: PathTriple) -> LaguerreHistory:
-    """:func:`phi_inverse` of a triple that passes :func:`tlp_parameters`."""
-    pair_to_letter = {
-        ("V", "H"): "U",
-        ("H", "V"): "D",
-        ("V", "V"): "R",
-        ("H", "H"): "B",
-    }
-    word = "".join(pair_to_letter[(wt, wb)] for wt, wb in zip(t.top, t.bottom))
+_PAIR_TO_LETTER = {"VH": "U", "HV": "D", "VV": "R", "HH": "B"}
+
+
+def _phi_inverse(t: PathTriple) -> tuple[str, tuple[int, ...]]:
+    """:func:`phi_inverse` of a triple that passes :func:`tlp_parameters`, as
+    (word, weights).
+
+    The result always satisfies the history rules, so nothing is checked.
+    Each U/B step lifts the bottom's H count and each D/B step the top's, so
+    the height before step i + 1 is h = 1 + h_bot(i) - h_top(i), and since
+    h_top(i) <= h_mid(i) <= h_bot(i) its weight 1 + h_bot(i) - h_mid(i) lies
+    in [1, h]; the equal end counts close the word.  From step i to step
+    i + 1 the weight moves by [bottom step i is H] - [middle step i is H]:
+    0 or +1 after U/B, whose bottom step is H, and 0 or -1 after D/R, whose
+    bottom step is V.
+    """
+    word = "".join(map(_PAIR_TO_LETTER.__getitem__, map(add, t.top, t.bottom)))
     hb, hm = h_prefix(t.bottom), h_prefix(t.middle)
-    weights = tuple(1 + b - mid for b, mid in zip(hb[:-1], hm))
-    h = LaguerreHistory(word, weights)
-    val = validate(h)
-    if not val.baxter_ok:
-        raise NotInImageError("recovered weights violate the history rules")
-    return h
+    return word, tuple([1 + b - mid for b, mid in zip(hb[:-1], hm)])
 
 
 def psi(p: Perm) -> PathTriple:
     """Triple encoding (DB, IDES, (DT u {p_n}) - {n}); Baxter input only."""
-    if not is_baxter(p):
+    check_permutation(p)
+    if not _is_baxter(p):
         raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
-    return phi(psi_fv(p))
+    return _phi(*_psi_fv(p))
 
 
 def psi_inverse(t: PathTriple) -> Perm:
     """Inverse of :func:`psi`: history recovery followed by placeholder rebuild."""
-    return psi_fv_inverse(phi_inverse(t))
+    tlp_parameters(t)
+    return _psi_fv_inverse(*_phi_inverse(t))
 
 
 def gamma_prime_inverse(t: PathTriple) -> Perm:
@@ -156,7 +187,7 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
         gap = [a - b for a, b in zip(h_prefix(t.middle), h_prefix(word))]
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
-    return psi_fv_inverse(_phi_inverse(PathTriple(t.bottom, t.middle, word)))
+    return _psi_fv_inverse(*_phi_inverse(PathTriple(t.bottom, t.middle, word)))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

@@ -17,14 +17,14 @@ from typing import Callable, Iterable
 
 from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
-from .laguerre import LaguerreHistory, enumerate_histories, psi_fv, psi_fv_inverse, validate
+from .laguerre import LaguerreHistory, _psi_fv, _psi_fv_inverse, _validity, enumerate_histories
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, decode_path, enumerate_tlp
 from .perm import (
     Perm,
+    _is_baxter,
     all_permutations,
     insertion_slots,
     inverse,
-    is_baxter,
     iter_baxter,
     shape_flags,
     stat_profile,
@@ -98,16 +98,17 @@ def _triple_json(t: PathTriple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-item checkers (must stay top-level so worker processes can import them)
+# per-item checkers (must stay top-level so worker processes can import them);
+# items the library's own generators produced go straight to the unchecked cores
 
 def _check_fv(p: Perm) -> str | None:
-    h = psi_fv(p)
-    val = validate(h)
+    word, weights = _psi_fv(p)
+    val = _validity(word, weights)
     if not val.laguerre_ok:
         return f"history of {_perm_json(p)} breaks the weight bounds"
-    if psi_fv_inverse(h) != p:
+    if _psi_fv_inverse(word, weights) != p:
         return f"round trip failed for {_perm_json(p)}"
-    if val.baxter_ok != is_baxter(p):
+    if val.baxter_ok != _is_baxter(p):
         return f"history/pattern disagreement for {_perm_json(p)}"
     return None
 
@@ -138,7 +139,7 @@ def _check_psi_encoding(p: Perm) -> str | None:
 
 
 def _check_history_roundtrip(h: LaguerreHistory) -> str | None:
-    if psi_fv(psi_fv_inverse(h)) != h:
+    if _psi_fv(_psi_fv_inverse(h.word, h.weights)) != (h.word, h.weights):
         return f"history {h.word}/{list(h.weights)} does not round trip"
     return None
 
@@ -424,7 +425,7 @@ def _suite_counts(n: int, jobs: int) -> list[Check]:
         parts = [f"generator {generated}", f"formula {formula}"]
         passed = generated == formula
         if m <= FULL_SCAN_LIMIT:
-            filtered = sum(1 for p in all_permutations(m) if is_baxter(p))
+            filtered = sum(1 for p in all_permutations(m) if _is_baxter(p))
             parts.append(f"filter {filtered}")
             passed = passed and filtered == generated
         checks.append(Check(f"baxter-count-n{m}", passed, ", ".join(parts)))

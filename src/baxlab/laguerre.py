@@ -8,18 +8,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .perm import LetterClass, Perm, check_permutation, classify_letters
+from .perm import Perm, _letter_classes, check_permutation
 
 LETTERS = "UDBR"
-
-_CLASS_TO_LETTER = {
-    LetterClass.VALLEY: "U",
-    LetterClass.PEAK: "D",
-    LetterClass.DOUBLE_DESCENT: "B",
-    LetterClass.DOUBLE_ASCENT: "R",
-}
 
 
 class MalformedHistoryError(ValueError):
@@ -90,21 +83,23 @@ def validate(h: LaguerreHistory) -> Validity:
     everywhere.  ``baxter_ok`` additionally requires each weight to move by
     at most one, upward only after U/B and downward only after D/R.
     """
-    heights = height_profile(h.word)
-    laguerre_ok = is_motzkin_word(h.word) and all(
-        1 <= m <= hi for m, hi in zip(h.weights, heights)
-    )
-    baxter_ok = laguerre_ok
-    for i in range(len(h.word) - 1):
-        allowed = (
-            (h.weights[i], h.weights[i] + 1)
-            if h.word[i] in "UB"
-            else (h.weights[i], h.weights[i] - 1)
-        )
-        if h.weights[i + 1] not in allowed:
-            baxter_ok = False
-            break
-    return Validity(laguerre_ok, baxter_ok)
+    return _validity(h.word, h.weights)
+
+
+def _validity(word: str, weights: Sequence[int]) -> Validity:
+    """:func:`validate` of a word over :data:`LETTERS` and one integer weight per step.
+
+    Every h_i >= mu_i >= 1 says the path stands at height >= 0 before each
+    step, so with as many U as D steps it is a closed Motzkin path.
+    """
+    if word.count("U") != word.count("D") or not all(
+        1 <= m <= hi for m, hi in zip(weights, height_profile(word))
+    ):
+        return Validity(False, False)
+    for c, a, b in zip(word, weights, weights[1:]):
+        if b - a not in ((0, 1) if c in "UB" else (0, -1)):
+            return Validity(True, False)
+    return Validity(True, True)
 
 
 def psi_fv(p: Perm) -> LaguerreHistory:
@@ -126,8 +121,13 @@ def psi_fv(p: Perm) -> LaguerreHistory:
     ('URUDDBUD', (1, 2, 2, 2, 1, 1, 1, 2))
     """
     check_permutation(p)
+    return LaguerreHistory(*_psi_fv(p))
+
+
+def _psi_fv(p: Perm) -> tuple[str, tuple[int, ...]]:
+    """:func:`psi_fv` of a permutation of 1..len(p), unchecked, as (word, weights)."""
     n = len(p)
-    word = "".join(_CLASS_TO_LETTER[c] for c in classify_letters(p))
+    word = "".join(_letter_classes(p, "DRBU"))
     weight = [0] * (n + 1)  # weight[v] for the letter v
     tops: list[int] = []
     bottoms: list[int] = []
@@ -136,7 +136,7 @@ def psi_fv(p: Perm) -> LaguerreHistory:
         if k and p[k - 1] > v:
             insort(tops, p[k - 1])
             insort(bottoms, v)
-    return LaguerreHistory(word, tuple(weight[1:n]))
+    return word, tuple(weight[1:n])
 
 
 def psi_fv_inverse(h: LaguerreHistory) -> Perm:
@@ -158,14 +158,24 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
     slot ``2 * parent + side`` (0 left, 1 right; the root hangs in slot 1 of
     a virtual letter 0), so a step is one slice assignment on that list.
     """
-    n = len(h) + 1
+    holes = 1
+    for i, (c, mu) in enumerate(zip(h.word, h.weights), start=1):
+        if not 1 <= mu <= holes:
+            raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
+        holes += (c == "U") - (c == "D")
+    if holes != 1:
+        raise MalformedHistoryError(f"{holes} placeholders remain at the end")
+    return _psi_fv_inverse(h.word, h.weights)
+
+
+def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
+    """:func:`psi_fv_inverse` of a history whose weights never run out of
+    placeholders and leave one at the end (as every history passing
+    :func:`validate` does), unchecked."""
+    n = len(word) + 1
     child = [0] * (2 * n + 2)  # child[2 * v + side]; 0 = no letter
     holes = [1]
-    for i, (c, mu) in enumerate(zip(h.word, h.weights), start=1):
-        if not 1 <= mu <= len(holes):
-            raise MalformedHistoryError(
-                f"step {i}: weight {mu} but only {len(holes)} placeholders"
-            )
+    for i, (c, mu) in enumerate(zip(word, weights), start=1):
         child[holes[mu - 1]] = i
         s = 2 * i
         if c == "U":
@@ -176,8 +186,6 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
             del holes[mu - 1]
         else:
             holes[mu - 1 : mu] = (s,)
-    if len(holes) != 1:
-        raise MalformedHistoryError(f"{len(holes)} placeholders remain at the end")
     child[holes[0]] = n
     out = []
     stack = []

@@ -55,9 +55,12 @@ class PathTriple:
         return len(self.bottom) + 1
 
 
+_IS_H = {"H": 1, "V": 0}
+
+
 def h_prefix(steps: str) -> list[int]:
     """h(i), the number of H steps among the first i steps, for i = 0..len(steps)."""
-    return list(accumulate((c == "H" for c in steps), initial=0))
+    return list(accumulate(map(_IS_H.__getitem__, steps), initial=0))
 
 
 def is_nonintersecting(t: PathTriple) -> bool:
@@ -68,12 +71,14 @@ def is_nonintersecting(t: PathTriple) -> bool:
     h_top(i).  Each x moves by at most one per step, so the paths stay apart
     exactly when h_top(i) <= h_mid(i) <= h_bot(i) for every i.
     """
-    return all(
-        ht <= hm <= hb
-        for hb, hm, ht in zip(
-            h_prefix(t.bottom), h_prefix(t.middle), h_prefix(t.top)
-        )
-    )
+    hb = hm = ht = 0
+    for b, m, top in zip(t.bottom, t.middle, t.top):
+        hb += b == "H"
+        hm += m == "H"
+        ht += top == "H"
+        if not ht <= hm <= hb:
+            return False
+    return True
 
 
 def expected_endpoints(n: int, k: int) -> tuple[Point, Point, Point]:

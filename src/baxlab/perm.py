@@ -11,7 +11,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -143,30 +143,33 @@ class LetterClass(Enum):
     DOUBLE_ASCENT = "double_ascent"
 
 
+def _letter_classes(p: Perm, labels: Sequence) -> list:
+    """:func:`classify_letters` with the four classes named by ``labels``.
+
+    Letter i gets ``labels[2 * (left > i) + (right > i)]``, its neighbours
+    read with pi_0 = pi_{n+1} = 0, so the labels come in the order peak,
+    double ascent, double descent, valley.
+    """
+    padded = (0, *p, 0)
+    out = [labels[0]] * len(p)
+    for left, v, right in zip(padded, p, padded[2:]):
+        out[v - 1] = labels[2 * (left > v) + (right > v)]
+    return out[:-1]
+
+
+_CLASSES = (LetterClass.PEAK, LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT, LetterClass.VALLEY)
+
+
 def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
     """Class of each letter i in [n-1] from the neighbours of its position.
 
     Entry i-1 describes letter i; the largest letter n is excluded.  With
     pi_0 = pi_{n+1} = 0, letter i is a valley if both neighbours are larger,
     a peak if both are smaller (zero counts as smaller), and a double
-    descent/ascent if it is passed downwards/upwards.
+    descent/ascent if it is passed downwards/upwards.  The rule lives in
+    :func:`_letter_classes`, which :func:`~baxlab.laguerre.psi_fv` shares.
     """
-    n = len(p)
-    pos = {v: i for i, v in enumerate(p)}
-    out = []
-    for i in range(1, n):
-        k = pos[i]
-        left = p[k - 1] if k >= 1 else 0
-        right = p[k + 1] if k + 1 < n else 0
-        if left > i and right > i:
-            out.append(LetterClass.VALLEY)
-        elif left < i and right < i:
-            out.append(LetterClass.PEAK)
-        elif left > i > right:
-            out.append(LetterClass.DOUBLE_DESCENT)
-        else:
-            out.append(LetterClass.DOUBLE_ASCENT)
-    return tuple(out)
+    return tuple(_letter_classes(p, _CLASSES))
 
 
 def is_baxter(p: Perm) -> bool:
@@ -191,6 +194,11 @@ def is_baxter(p: Perm) -> bool:
     True
     """
     check_permutation(p)
+    return _is_baxter(p)
+
+
+def _is_baxter(p: Perm) -> bool:
+    """:func:`is_baxter` of a permutation of 1..len(p), unchecked."""
     seen: list[int] = []  # the letters before the current pair, sorted
     for j in range(len(p) - 1):
         a, b = p[j], p[j + 1]

@@ -1,10 +1,31 @@
 """The quadratic cores that the sorted-prefix sweeps and the placeholder tree
 replaced, kept as test oracles: the Baxter test by prefix and suffix scans,
-and the Françon-Viennot map and its inverse by rescanning the word."""
+and the Françon-Viennot map and its inverse by rescanning the word; also the
+letter classes read off a position table, as ``classify_letters`` once did."""
 from baxlab.laguerre import LaguerreHistory, MalformedHistoryError
-from baxlab.perm import classify_letters
+from baxlab.perm import LetterClass
 
 _CLASS_TO_LETTER = {"valley": "U", "peak": "D", "double_descent": "B", "double_ascent": "R"}
+
+
+def classify_letters_by_position(p):
+    """Look up each letter's position and compare it with both neighbours."""
+    n = len(p)
+    pos = {v: i for i, v in enumerate(p)}
+    out = []
+    for i in range(1, n):
+        k = pos[i]
+        left = p[k - 1] if k >= 1 else 0
+        right = p[k + 1] if k + 1 < n else 0
+        if left > i and right > i:
+            out.append(LetterClass.VALLEY)
+        elif left < i and right < i:
+            out.append(LetterClass.PEAK)
+        elif left > i > right:
+            out.append(LetterClass.DOUBLE_DESCENT)
+        else:
+            out.append(LetterClass.DOUBLE_ASCENT)
+    return tuple(out)
 
 
 def is_baxter_by_scan(p):
@@ -37,7 +58,7 @@ def psi_fv_by_scan(p):
     i's position that straddle i in value."""
     n = len(p)
     pos = {v: i for i, v in enumerate(p)}  # 0-based positions
-    word = "".join(_CLASS_TO_LETTER[c.value] for c in classify_letters(p))
+    word = "".join(_CLASS_TO_LETTER[c.value] for c in classify_letters_by_position(p))
     weights = []
     for i in range(1, n):
         k = pos[i]

@@ -1,6 +1,8 @@
+from functools import partial
+
 import pytest
 
-from baxlab import bijections
+from baxlab import bijections, laguerre, perm
 from baxlab.bijections import (
     MalformedMiddleError,
     NotBaxterError,
@@ -14,10 +16,11 @@ from baxlab.bijections import (
     psi_inverse,
 )
 from baxlab.harness import _check_insertion_cases, _scan
-from baxlab.laguerre import LaguerreHistory, enumerate_histories, psi_fv
-from baxlab.paths import PathTriple, decode_path, enumerate_tlp
+from baxlab.laguerre import LaguerreHistory, Validity, enumerate_histories, psi_fv, validate
+from baxlab.paths import PathTriple, decode_path, encode_set, enumerate_tlp
 from baxlab.perm import (
     InvalidPermutationError,
+    all_permutations,
     identity,
     inverse,
     is_baxter,
@@ -67,6 +70,28 @@ def test_gamma_rejects_non_baxter():
     assert t.n == 4
 
 
+def gamma_by_statistics(p):
+    """The former body of gamma: the IDB, DES and IDT - 1 sets of the
+    statistic profile, each encoded as a step word."""
+    prof = stat_profile(p)
+    m = len(p) - 1
+    return PathTriple(
+        encode_set(prof.idb_set, m),
+        encode_set(prof.des_set, m),
+        encode_set(prof.idt_mod_set, m),
+    )
+
+
+def test_gamma_words_match_the_statistics():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert gamma(p, checked=False) == gamma_by_statistics(p), p
+            assert gamma_prime(p, checked=False) == gamma_by_statistics(inverse(p)), p
+    for p in iter_baxter(9):
+        assert gamma(p) == gamma_by_statistics(p), p
+        assert gamma_prime(p) == gamma_by_statistics(inverse(p)), p
+
+
 def test_gamma_prime_is_gamma_of_inverse():
     assert gamma_prime(EX9_INV) == gamma(EX9)
     assert gamma_prime(identity(5)) == all_vertical(5)
@@ -91,6 +116,14 @@ def test_phi_inverse_goldens():
     for m in range(0, 5):
         t = all_vertical(m + 1)
         assert phi_inverse(t) == LaguerreHistory("R" * m, (1,) * m)
+
+
+def test_phi_inverse_always_yields_a_baxter_history():
+    # the argument in _phi_inverse's docstring, checked on every triple it covers
+    for n in range(1, 10):
+        for k in range(n):
+            for t in enumerate_tlp(n, k):
+                assert validate(phi_inverse(t)) == Validity(True, True), t
 
 
 def test_phi_round_trip_over_histories():
@@ -206,12 +239,39 @@ def test_single_check_inverses_match_the_double_check_route(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad", [(10, 40, 20), (1, 1), (0, 1), (2, 3), (2.0, 1.0), (True, 2), ("1",), (1, None)]
+    "bad",
+    [(10, 40, 20), (1, 1), (0, 1), (2, 3), (2.0, 1.0), (True, 2), ("1",), (1, None), (1, 1, 2)],
 )
 def test_maps_reject_non_permutations(bad):
-    for f in (is_baxter, psi_fv, gamma, gamma_prime, psi):
+    # checked=False skips the Baxter test, not the permutation check
+    unchecked = [partial(f, checked=False) for f in (gamma, gamma_prime)]
+    for f in (is_baxter, psi_fv, gamma, gamma_prime, psi, *unchecked):
         with pytest.raises(InvalidPermutationError):
             f(bad)
+
+
+@pytest.mark.parametrize("f", [is_baxter, psi_fv, gamma, gamma_prime, psi])
+def test_forward_maps_check_each_permutation_once(monkeypatch, f):
+    checked = []
+    real = perm.check_permutation
+
+    def counting(p):
+        checked.append(p)
+        return real(p)
+
+    for module in (perm, laguerre, bijections):
+        monkeypatch.setattr(module, "check_permutation", counting)
+    f(EX9)
+    assert checked == [EX9]
+
+
+def test_psi_does_not_validate_the_history_it_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a history was validated")
+
+    for module, name in ((laguerre, "validate"), (laguerre, "_validity"), (bijections, "_validity")):
+        monkeypatch.setattr(module, name, refuse)
+    assert psi(EX9_INV) == PSI_TRIPLE
 
 
 def test_gamma_inverse_golden():

@@ -22,6 +22,7 @@ from baxlab.perm import (
     stat_profile,
 )
 from bfs_oracle import generate_baxter_bfs
+from fv_oracles import classify_letters_by_position
 
 EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
 
@@ -159,6 +160,12 @@ def test_classify_letters_worked_example():
     assert classify_letters((2, 1)) == (C.DOUBLE_DESCENT,)
     assert classify_letters((1, 2)) == (C.DOUBLE_ASCENT,)
     assert classify_letters((1,)) == ()
+
+
+def test_classify_letters_matches_the_position_table():
+    for n in range(0, 8):
+        for p in all_permutations(n):
+            assert classify_letters(p) == classify_letters_by_position(p), p
 
 
 def test_letters_passed_downward_are_the_descent_bottoms():
