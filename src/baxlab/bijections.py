@@ -121,15 +121,15 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
     vertex from the bottom's.
     """
     tlp_parameters(t)
-    return LaguerreHistory(*_phi_inverse(t))
+    return LaguerreHistory(*_phi_inverse(t.bottom, t.middle, t.top))
 
 
 _PAIR_TO_LETTER = {"VH": "U", "HV": "D", "VV": "R", "HH": "B"}
 
 
-def _phi_inverse(t: PathTriple) -> tuple[str, tuple[int, ...]]:
-    """:func:`phi_inverse` of a triple that passes :func:`tlp_parameters`, as
-    (word, weights).
+def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ...]]:
+    """:func:`phi_inverse` of the words of a triple that passes
+    :func:`tlp_parameters`, as (word, weights).
 
     The result always satisfies the history rules, so nothing is checked.
     Each U/B step lifts the bottom's H count and each D/B step the top's, so
@@ -140,8 +140,8 @@ def _phi_inverse(t: PathTriple) -> tuple[str, tuple[int, ...]]:
     0 or +1 after U/B, whose bottom step is H, and 0 or -1 after D/R, whose
     bottom step is V.
     """
-    word = "".join(map(_PAIR_TO_LETTER.__getitem__, map(add, t.top, t.bottom)))
-    hb, hm = h_prefix(t.bottom), h_prefix(t.middle)
+    word = "".join(map(_PAIR_TO_LETTER.__getitem__, map(add, top, bottom)))
+    hb, hm = h_prefix(bottom), h_prefix(middle)
     return word, tuple([1 + b - mid for b, mid in zip(hb[:-1], hm)])
 
 
@@ -156,7 +156,7 @@ def psi(p: Perm) -> PathTriple:
 def psi_inverse(t: PathTriple) -> Perm:
     """Inverse of :func:`psi`: history recovery followed by placeholder rebuild."""
     tlp_parameters(t)
-    return _psi_fv_inverse(*_phi_inverse(t))
+    return _psi_fv_inverse(*_phi_inverse(t.bottom, t.middle, t.top))
 
 
 def gamma_prime_inverse(t: PathTriple) -> Perm:
@@ -178,8 +178,8 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
 
     The rewritten top keeps the k H steps of t's top, and h_s rises by one
     only past the last zero of gap, where gap >= 1, so h_s <= h_mid still
-    holds: the rewritten triple passes :func:`tlp_parameters` and is not
-    checked again.
+    holds: the rewritten words would pass :func:`tlp_parameters` as a
+    triple, so they go to the core without being built or checked again.
     """
     tlp_parameters(t)
     word = ("V" + t.top)[:-1]
@@ -187,7 +187,7 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
         gap = [a - b for a, b in zip(h_prefix(t.middle), h_prefix(word))]
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
-    return _psi_fv_inverse(*_phi_inverse(PathTriple(t.bottom, t.middle, word)))
+    return _psi_fv_inverse(*_phi_inverse(t.bottom, t.middle, word))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

@@ -141,8 +141,6 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     print(json.dumps(jsonio.tqpoly_to_obj(baxter_polynomial_rhs(args.n))))
     return 0
 

@@ -54,7 +54,6 @@ SUITE_NAMES = (
 FULL_SCAN_LIMIT = 8
 TLP_ENUM_LIMIT = 9
 BRUTE_POLY_LIMIT = 9
-HISTORY_ENUM_LIMIT = 7
 INSERTION_CASE_LIMIT = 7
 
 
@@ -289,7 +288,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                 "round trip and history/pattern agreement on all {} permutations",
             )
         )
-    for length in range(0, min(n - 1, HISTORY_ENUM_LIMIT) + 1):
+    for length in range(min(n, FULL_SCAN_LIMIT)):  # histories of length L <-> S_{L+1}
         checks.append(
             _scan_check(
                 f"history-roundtrip-len{length}",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Perm, _letter_classes, check_permutation
@@ -148,21 +149,21 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
         U  ->  <hole> i <hole>      R  ->  i <hole>
         D  ->  i                    B  ->  <hole> i
 
-    and the one placeholder left at the end becomes n.  The number of
-    placeholders after step i is 1 + #U - #D, so a history that passes
-    :func:`validate` can never run out.
+    and the one placeholder left at the end becomes n.  Each U adds a
+    placeholder and each D removes one, so there are h_i of them before
+    step i (:func:`height_profile`) and 1 + #U - #D at the end; a history
+    that passes :func:`validate` can never run out.
 
-    The rewrites grow a binary tree whose in-order walk is the permutation:
-    letter i hangs in the hole it fills, and its holes are its children.
-    Only the open holes are listed, in left-to-right order, each as a child
-    slot ``2 * parent + side`` (0 left, 1 right; the root hangs in slot 1 of
-    a virtual letter 0), so a step is one slice assignment on that list.
+    The permutation is kept as a linked list of its letters, headed by a
+    virtual letter 0.  Placeholders are never adjacent, so each open one is
+    named by the letter just before it; a step links letter i in after that
+    letter and renames at most one placeholder, and one walk along the list
+    reads the permutation.
     """
-    holes = 1
-    for i, (c, mu) in enumerate(zip(h.word, h.weights), start=1):
+    for i, (mu, holes) in enumerate(zip(h.weights, height_profile(h.word)), start=1):
         if not 1 <= mu <= holes:
             raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
-        holes += (c == "U") - (c == "D")
+    holes = 1 + h.word.count("U") - h.word.count("D")
     if holes != 1:
         raise MalformedHistoryError(f"{holes} placeholders remain at the end")
     return _psi_fv_inverse(h.word, h.weights)
@@ -173,81 +174,34 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
     placeholders and leave one at the end (as every history passing
     :func:`validate` does), unchecked."""
     n = len(word) + 1
-    child = [0] * (2 * n + 2)  # child[2 * v + side]; 0 = no letter
-    holes = [1]
+    after = [0] * (n + 1)  # after[v]: the letter following v, 0 at the end
+    holes = [0]  # the open placeholders, each named by the letter before it
     for i, (c, mu) in enumerate(zip(word, weights), start=1):
-        child[holes[mu - 1]] = i
-        s = 2 * i
+        v = holes[mu - 1]
+        after[i], after[v] = after[v], i
         if c == "U":
-            holes[mu - 1 : mu] = (s, s + 1)
+            holes.insert(mu, i)
         elif c == "R":
-            holes[mu - 1 : mu] = (s + 1,)
+            holes[mu - 1] = i
         elif c == "D":
             del holes[mu - 1]
-        else:
-            holes[mu - 1 : mu] = (s,)
-    child[holes[0]] = n
+    v = holes[0]
+    after[n], after[v] = after[v], n
     out = []
-    stack = []
-    v = child[1]
-    while v or stack:
-        while v:
-            stack.append(v)
-            v = child[2 * v]
-        v = stack.pop()
+    v = after[0]
+    while v:
         out.append(v)
-        v = child[2 * v + 1]
+        v = after[v]
     return tuple(out)
 
 
-def _motzkin_words(length: int) -> Iterator[str]:
-    """All closed coloured Motzkin words, letters tried in the order U, D, B, R."""
-    acc: list[str] = []
-
-    def extend(height: int) -> Iterator[str]:
-        left = length - len(acc)
-        if left == 0:
-            yield "".join(acc)
-            return
-        for c in LETTERS:
-            if c == "U" and height + 1 > left - 1:
-                continue  # could not come back down in time
-            if c == "D" and height == 0:
-                continue
-            if c in "BR" and height > left - 1:
-                continue
-            acc.append(c)
-            yield from extend(height + (c == "U") - (c == "D"))
-            acc.pop()
-
-    yield from extend(0)
-
-
-def enumerate_histories(length: int, baxter_only: bool = False) -> Iterator[LaguerreHistory]:
+def enumerate_histories(length: int) -> Iterator[LaguerreHistory]:
     """All histories of the given length with weights inside their bounds.
 
-    With ``baxter_only`` the weight increments are restricted on the fly, so
-    only histories whose :func:`validate` says ``baxter_ok`` appear.
+    Words come in lexicographic order of U < D < B < R, and the weights of
+    each word in lexicographic order.  There are (length + 1)! histories,
+    one per permutation of [length + 1] under :func:`psi_fv`.
     """
-    for word in _motzkin_words(length):
-        heights = height_profile(word)
-        acc: list[int] = []
-
-        def extend(i: int) -> Iterator[tuple[int, ...]]:
-            if i == length:
-                yield tuple(acc)
-                return
-            lo, hi = 1, heights[i]
-            if baxter_only and i > 0:
-                prev = acc[i - 1]
-                if word[i - 1] in "UB":
-                    lo, hi = max(lo, prev), min(hi, prev + 1)
-                else:
-                    lo, hi = max(lo, prev - 1), min(hi, prev)
-            for m in range(lo, hi + 1):
-                acc.append(m)
-                yield from extend(i + 1)
-                acc.pop()
-
-        for weights in extend(0):
+    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
+        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
             yield LaguerreHistory(word, weights)

@@ -27,18 +27,18 @@ def as_permutation(word: Iterable[int]) -> Perm:
     (2, 1, 3)
     """
     p = tuple(word)
-    if len(p) < 1:
-        raise InvalidPermutationError("a permutation must have length >= 1")
     check_permutation(p)
     return p
 
 
 def check_permutation(p: Perm) -> None:
-    """Raise unless p holds exactly the integers 1..len(p).
+    """Raise unless p is non-empty and holds exactly the integers 1..len(p).
 
     Every entry must be an ``int`` proper: ``True`` and ``1.0`` compare equal
     to 1 but are not permutation entries.
     """
+    if not p:
+        raise InvalidPermutationError("a permutation must have length >= 1")
     if not {int}.issuperset(map(type, p)):
         raise InvalidPermutationError(f"permutation entries must be integers: {p!r}")
     if sorted(p) != list(range(1, len(p) + 1)):

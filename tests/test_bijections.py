@@ -128,8 +128,9 @@ def test_phi_inverse_always_yields_a_baxter_history():
 
 def test_phi_round_trip_over_histories():
     for length in range(0, 6):
-        for h in enumerate_histories(length, baxter_only=True):
-            assert phi_inverse(phi(h)) == h
+        for h in enumerate_histories(length):
+            if validate(h).baxter_ok:
+                assert phi_inverse(phi(h)) == h
 
 
 def test_phi_is_disjoint_or_malformed_on_every_history():
@@ -220,9 +221,9 @@ def test_single_check_inverses_match_the_double_check_route(monkeypatch):
     # before, phi_inverse checked the triple that gamma_prime_inverse rewrote
     core = bijections._phi_inverse
 
-    def checked_core(t):
-        bijections.tlp_parameters(t)
-        return core(t)
+    def checked_core(bottom, middle, top):
+        bijections.tlp_parameters(PathTriple(bottom, middle, top))
+        return core(bottom, middle, top)
 
     def old_gamma_prime_inverse(t):
         with monkeypatch.context() as m:
@@ -240,7 +241,7 @@ def test_single_check_inverses_match_the_double_check_route(monkeypatch):
 
 @pytest.mark.parametrize(
     "bad",
-    [(10, 40, 20), (1, 1), (0, 1), (2, 3), (2.0, 1.0), (True, 2), ("1",), (1, None), (1, 1, 2)],
+    [(10, 40, 20), (1, 1), (0, 1), (2, 3), (2.0, 1.0), (True, 2), ("1",), (1, None), (1, 1, 2), ()],
 )
 def test_maps_reject_non_permutations(bad):
     # checked=False skips the Baxter test, not the permutation check

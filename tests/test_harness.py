@@ -288,6 +288,13 @@ def test_cli_enum_rejects_sizes_below_one(argv, capsys):
     assert captured.out == "" and captured.err == "error: n must be >= 1\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_poly_rejects_sizes_below_one(n, capsys):
+    assert cli.main(["poly", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must be >= 1\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "count"])
 def test_cli_enum_rejects_a_bad_k_before_any_output(fmt, capsys):
     assert cli.main(["enum", "--n", "3", "--k", "3", "--format", fmt]) == 2
