@@ -18,6 +18,7 @@ plain words and weight tuples, which trust their input.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add
 
 from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv, _psi_fv_inverse, _validity
@@ -98,12 +99,15 @@ _TOP_STEPS = str.maketrans("DBUR", "HHVV")
 
 
 def _phi(word: str, weights: tuple[int, ...]) -> PathTriple:
-    """:func:`phi` of a history whose weights keep their bounds, unchecked."""
+    """:func:`phi` of a history whose weights keep their bounds, unchecked.
+
+    With w_L = 1 closing the weights of a word of length L, middle step i
+    moves h_mid by [bottom step i is H] - (w_{i+1} - w_i).
+    """
     bottom = word.translate(_BOTTOM_STEPS)
-    hb = h_prefix(bottom)
-    hm = [1 + b - w for b, w in zip(hb, weights)]
-    hm.append(hb[-1])
-    steps = [b - a for a, b in zip(hm, hm[1:])]
+    steps = [
+        (b == "H") + w - w_next for b, w, w_next in zip(bottom, weights, (*weights[1:], 1))
+    ]
     if not {0, 1}.issuperset(steps):
         i, d = next((i, d) for i, d in enumerate(steps) if d not in (0, 1))
         raise MalformedMiddleError(
@@ -125,6 +129,8 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
 
 
 _PAIR_TO_LETTER = {"VH": "U", "HV": "D", "VV": "R", "HH": "B"}
+# (bottom step, middle step) -> the weight's move to the next step
+_PAIR_TO_MOVE = {"HH": 0, "HV": 1, "VH": -1, "VV": 0}
 
 
 def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ...]]:
@@ -138,11 +144,12 @@ def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ..
     in [1, h]; the equal end counts close the word.  From step i to step
     i + 1 the weight moves by [bottom step i is H] - [middle step i is H]:
     0 or +1 after U/B, whose bottom step is H, and 0 or -1 after D/R, whose
-    bottom step is V.
+    bottom step is V.  The weights accumulate these moves from 1 and drop
+    the move past the last step.
     """
     word = "".join(map(_PAIR_TO_LETTER.__getitem__, map(add, top, bottom)))
-    hb, hm = h_prefix(bottom), h_prefix(middle)
-    return word, tuple([1 + b - mid for b, mid in zip(hb[:-1], hm)])
+    moves = map(_PAIR_TO_MOVE.__getitem__, map(add, bottom, middle))
+    return word, tuple(accumulate(moves, initial=1))[: len(word)]
 
 
 def psi(p: Perm) -> PathTriple:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import bijections, harness, jsonio
 from .laguerre import psi_fv
-from .paths import enumerate_tlp, expected_endpoints
+from .paths import _tlp_words, enumerate_tlp, expected_endpoints
 from .qseries import baxter_polynomial_rhs
 
 
@@ -73,7 +73,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     ks = range(args.n) if args.k is None else [args.k]
     triples = (t for k in ks for t in enumerate_tlp(args.n, k))
     if args.format == "count":
-        print(sum(1 for _ in triples))
+        print(sum(1 for k in ks for _ in _tlp_words(args.n, k)))
     elif args.format == "csv":
         print("bottom,middle,top")
         for t in triples:

@@ -17,8 +17,16 @@ from typing import Callable, Iterable
 
 from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
-from .laguerre import LaguerreHistory, _psi_fv, _psi_fv_inverse, _validity, enumerate_histories
-from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, decode_path, enumerate_tlp
+from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
+from .paths import (
+    BOTTOM_START,
+    MIDDLE_START,
+    TOP_START,
+    PathTriple,
+    _tlp_words,
+    decode_path,
+    enumerate_tlp,
+)
 from .perm import (
     Perm,
     _is_baxter,
@@ -137,9 +145,10 @@ def _check_psi_encoding(p: Perm) -> str | None:
     return None
 
 
-def _check_history_roundtrip(h: LaguerreHistory) -> str | None:
-    if _psi_fv(_psi_fv_inverse(h.word, h.weights)) != (h.word, h.weights):
-        return f"history {h.word}/{list(h.weights)} does not round trip"
+def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None:
+    word, weights = history
+    if _psi_fv(_psi_fv_inverse(word, weights)) != history:
+        return f"history {word}/{list(weights)} does not round trip"
     return None
 
 
@@ -293,7 +302,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
             _scan_check(
                 f"history-roundtrip-len{length}",
                 _check_history_roundtrip,
-                enumerate_histories(length),
+                _histories(length),
                 jobs,
                 "all {} histories round trip",
             )
@@ -432,7 +441,7 @@ def _suite_counts(n: int, jobs: int) -> list[Check]:
         failure = None
         total = 0
         for k in range(m):
-            count = sum(1 for _ in enumerate_tlp(m, k))
+            count = sum(1 for _ in _tlp_words(m, k))
             want = tlp_count_formula(m, k)
             if count != want:
                 failure = f"k={k}: enumerated {count}, formula {want}"

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 from typing import Iterator, NamedTuple, Sequence
 
-from .perm import Perm, _letter_classes, check_permutation
+from .perm import Perm, check_permutation
 
 LETTERS = "UDBR"
 
@@ -28,11 +28,17 @@ class LaguerreHistory:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if set(self.word) - set(LETTERS):
+        if not isinstance(self.word, str) or self.word.strip(LETTERS):
             raise ValueError(f"word must be over {LETTERS!r}: {self.word!r}")
-        if not all(isinstance(w, int) and not isinstance(w, bool) for w in self.weights):
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise MalformedHistoryError(
+                f"weights must be a sequence of integers: {self.weights!r}"
+            ) from None
+        if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
             raise MalformedHistoryError(f"weights must be integers: {self.weights!r}")
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "weights", weights)
         if len(self.word) != len(self.weights):
             raise MalformedHistoryError(
                 f"word has {len(self.word)} steps but {len(self.weights)} weights"
@@ -87,20 +93,31 @@ def validate(h: LaguerreHistory) -> Validity:
     return _validity(h.word, h.weights)
 
 
+# per letter: the height change, and whether the next weight may rise (else fall)
+_STEP = {"U": (1, 1), "D": (-1, 0), "B": (0, 1), "R": (0, 0)}
+
+
 def _validity(word: str, weights: Sequence[int]) -> Validity:
     """:func:`validate` of a word over :data:`LETTERS` and one integer weight per step.
 
     Every h_i >= mu_i >= 1 says the path stands at height >= 0 before each
-    step, so with as many U as D steps it is a closed Motzkin path.
+    step, so the path is a closed Motzkin path iff it also ends at h = 1.
+    The first weight is 1, so starting from ``last = 1`` passes step 1's
+    increment rule.
     """
-    if word.count("U") != word.count("D") or not all(
-        1 <= m <= hi for m, hi in zip(weights, height_profile(word))
-    ):
+    h = last = rises = 1
+    baxter_ok = True
+    for c, m in zip(word, weights):
+        if not 1 <= m <= h:
+            return Validity(False, False)
+        if baxter_ok and not rises - 1 <= m - last <= rises:
+            baxter_ok = False
+        last = m
+        dh, rises = _STEP[c]
+        h += dh
+    if h != 1:
         return Validity(False, False)
-    for c, a, b in zip(word, weights, weights[1:]):
-        if b - a not in ((0, 1) if c in "UB" else (0, -1)):
-            return Validity(True, False)
-    return Validity(True, True)
+    return Validity(True, baxter_ok)
 
 
 def psi_fv(p: Perm) -> LaguerreHistory:
@@ -126,18 +143,28 @@ def psi_fv(p: Perm) -> LaguerreHistory:
 
 
 def _psi_fv(p: Perm) -> tuple[str, tuple[int, ...]]:
-    """:func:`psi_fv` of a permutation of 1..len(p), unchecked, as (word, weights)."""
+    """:func:`psi_fv` of a permutation of 1..len(p), unchecked, as (word, weights).
+
+    The same sweep reads each letter's class from its neighbours, with
+    pi_0 = pi_{n+1} = 0: the letter of v is "DRBU"[2 * (left > v) + (right > v)].
+    """
     n = len(p)
-    word = "".join(_letter_classes(p, "DRBU"))
-    weight = [0] * (n + 1)  # weight[v] for the letter v
+    letter = [""] * (n + 1)  # letter[v] and weight[v] for the letter v
+    weight = [0] * (n + 1)
     tops: list[int] = []
     bottoms: list[int] = []
-    for k, v in enumerate(p):
-        weight[v] = 1 + bisect_left(bottoms, v) - bisect_right(tops, v)
-        if k and p[k - 1] > v:
-            insort(tops, p[k - 1])
-            insort(bottoms, v)
-    return word, tuple(weight[1:n])
+    left = 0
+    for v, right in zip(p, (*p[1:], 0)):
+        at = bisect_left(bottoms, v)
+        weight[v] = 1 + at - bisect_right(tops, v)
+        if left > v:
+            letter[v] = "BU"[right > v]
+            insort(tops, left)
+            bottoms.insert(at, v)
+        else:
+            letter[v] = "DR"[right > v]
+        left = v
+    return "".join(letter[1:n]), tuple(weight[1:n])
 
 
 def psi_fv_inverse(h: LaguerreHistory) -> Perm:
@@ -187,12 +214,19 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
             del holes[mu - 1]
     v = holes[0]
     after[n], after[v] = after[v], n
-    out = []
-    v = after[0]
-    while v:
-        out.append(v)
+    out = [0] * n
+    v = 0
+    for k in range(n):
         v = after[v]
+        out[k] = v
     return tuple(out)
+
+
+def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The (word, weights) pairs of :func:`enumerate_histories`, in its order."""
+    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
+        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
+            yield word, weights
 
 
 def enumerate_histories(length: int) -> Iterator[LaguerreHistory]:
@@ -202,6 +236,4 @@ def enumerate_histories(length: int) -> Iterator[LaguerreHistory]:
     each word in lexicographic order.  There are (length + 1)! histories,
     one per permutation of [length + 1] under :func:`psi_fv`.
     """
-    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
-        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
-            yield LaguerreHistory(word, weights)
+    yield from starmap(LaguerreHistory, _histories(length))

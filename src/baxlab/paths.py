@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, starmap
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
@@ -40,9 +40,15 @@ class PathTriple:
     top: str
 
     def __post_init__(self) -> None:
-        for steps in (self.bottom, self.middle, self.top):
-            if not isinstance(steps, str) or steps.strip("HV"):
-                raise ValueError(f"steps must be a word over 'HV': {steps!r}")
+        words = (self.bottom, self.middle, self.top)
+        try:
+            bad = "".join(words).strip("HV")
+        except TypeError:  # some word is not a str
+            bad = True
+        if bad:
+            for steps in words:
+                if not isinstance(steps, str) or steps.strip("HV"):
+                    raise ValueError(f"steps must be a word over 'HV': {steps!r}")
         if not (len(self.bottom) == len(self.middle) == len(self.top)):
             raise ValueError(
                 "paths must have equal lengths, got "
@@ -135,6 +141,16 @@ def _step_words(h_count: int, ceiling: Sequence[int]) -> Iterator[str]:
     yield from extend(0)
 
 
+def _tlp_words(n: int, k: int) -> Iterator[tuple[str, str, str]]:
+    """The (bottom, middle, top) step words of :func:`enumerate_tlp`, in its order."""
+    expected_endpoints(n, k)  # argument validation
+    m = n - 1
+    for wb in _step_words(k, range(m + 1)):
+        for wm in _step_words(k, h_prefix(wb)):
+            for wt in _step_words(k, h_prefix(wm)):
+                yield wb, wm, wt
+
+
 def enumerate_tlp(n: int, k: int) -> Iterator[PathTriple]:
     """Every vertex-disjoint triple with n-1 steps and k horizontals per path.
 
@@ -143,9 +159,4 @@ def enumerate_tlp(n: int, k: int) -> Iterator[PathTriple]:
     Ordered lexicographically by the concatenated step words (bottom, then
     middle, then top; H < V), which is the order of :class:`PathTriple`.
     """
-    expected_endpoints(n, k)  # argument validation
-    m = n - 1
-    for wb in _step_words(k, range(m + 1)):
-        for wm in _step_words(k, h_prefix(wb)):
-            for wt in _step_words(k, h_prefix(wm)):
-                yield PathTriple(wb, wm, wt)
+    yield from starmap(PathTriple, _tlp_words(n, k))

@@ -8,10 +8,10 @@ applies.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
@@ -106,33 +106,36 @@ class StatProfile:
     imaj_t: int
 
 
+def _descents(p: Perm) -> tuple[list[int], list[int], list[int]]:
+    """Positions, tops and bottoms of the descents of p, in one pass."""
+    positions, tops, bottoms = [], [], []
+    for i, (a, b) in enumerate(itertools.pairwise(p), start=1):
+        if a > b:
+            positions.append(i)
+            tops.append(a)
+            bottoms.append(b)
+    return positions, tops, bottoms
+
+
 def stat_profile(p: Perm) -> StatProfile:
     """All descent sets of p and of its inverse, plus the three major indices."""
-    n = len(p)
-    q = inverse(p)
-    des = descent_positions(p)
-    dt = descent_tops(p)
-    db = descent_bottoms(p)
-    ides = descent_positions(q)
-    idt = descent_tops(q)
-    idb = descent_bottoms(q)
-    dt_mod = frozenset(v - 1 for v in dt)
-    idt_mod = frozenset(v - 1 for v in idt)
-    dt_hat = frozenset((dt | {p[-1]}) - {n})
+    des, dt, db = _descents(p)
+    ides, idt, idb = _descents(inverse(p))
+    dt_set = frozenset(dt)
     return StatProfile(
-        des_set=des,
-        dt_set=dt,
-        db_set=db,
-        dt_mod_set=dt_mod,
-        dt_hat_set=dt_hat,
-        ides_set=ides,
-        idt_set=idt,
-        idb_set=idb,
-        idt_mod_set=idt_mod,
+        des_set=frozenset(des),
+        dt_set=dt_set,
+        db_set=frozenset(db),
+        dt_mod_set=frozenset([v - 1 for v in dt]),
+        dt_hat_set=(dt_set | {p[-1]}) - {len(p)},
+        ides_set=frozenset(ides),
+        idt_set=frozenset(idt),
+        idb_set=frozenset(idb),
+        idt_mod_set=frozenset([v - 1 for v in idt]),
         des=len(des),
         maj=sum(des),
         imaj_b=sum(idb),
-        imaj_t=sum(idt_mod),
+        imaj_t=sum(idt) - len(idt),
     )
 
 
@@ -143,21 +146,12 @@ class LetterClass(Enum):
     DOUBLE_ASCENT = "double_ascent"
 
 
-def _letter_classes(p: Perm, labels: Sequence) -> list:
-    """:func:`classify_letters` with the four classes named by ``labels``.
-
-    Letter i gets ``labels[2 * (left > i) + (right > i)]``, its neighbours
-    read with pi_0 = pi_{n+1} = 0, so the labels come in the order peak,
-    double ascent, double descent, valley.
-    """
-    padded = (0, *p, 0)
-    out = [labels[0]] * len(p)
-    for left, v, right in zip(padded, p, padded[2:]):
-        out[v - 1] = labels[2 * (left > v) + (right > v)]
-    return out[:-1]
-
-
-_CLASSES = (LetterClass.PEAK, LetterClass.DOUBLE_ASCENT, LetterClass.DOUBLE_DESCENT, LetterClass.VALLEY)
+_LETTER_CLASSES = {
+    "U": LetterClass.VALLEY,
+    "D": LetterClass.PEAK,
+    "B": LetterClass.DOUBLE_DESCENT,
+    "R": LetterClass.DOUBLE_ASCENT,
+}
 
 
 def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
@@ -166,10 +160,13 @@ def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
     Entry i-1 describes letter i; the largest letter n is excluded.  With
     pi_0 = pi_{n+1} = 0, letter i is a valley if both neighbours are larger,
     a peak if both are smaller (zero counts as smaller), and a double
-    descent/ascent if it is passed downwards/upwards.  The rule lives in
-    :func:`_letter_classes`, which :func:`~baxlab.laguerre.psi_fv` shares.
+    descent/ascent if it is passed downwards/upwards.  The rule lives in the
+    sweep of :func:`~baxlab.laguerre.psi_fv`, whose word spells the classes
+    as U, D, B and R.
     """
-    return tuple(_letter_classes(p, _CLASSES))
+    from .laguerre import _psi_fv  # laguerre imports this module
+
+    return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(p)[0]))
 
 
 def is_baxter(p: Perm) -> bool:
@@ -200,25 +197,26 @@ def is_baxter(p: Perm) -> bool:
 def _is_baxter(p: Perm) -> bool:
     """:func:`is_baxter` of a permutation of 1..len(p), unchecked."""
     seen: list[int] = []  # the letters before the current pair, sorted
-    for j in range(len(p) - 1):
-        a, b = p[j], p[j + 1]
+    for a, b in itertools.pairwise(p):
         if a > b:
-            # 2-41-3: x is the smallest of the cnt earlier letters in (b, a);
-            # the other cnt - 1 are all that (x, a) holds of its a - x - 1
-            # values before the pair, so a later y exists iff a - x > cnt
+            # 2-41-3: x is the smallest of the cnt = at - lo earlier letters
+            # in (b, a); the other cnt - 1 are all that (x, a) holds of its
+            # a - x - 1 values before the pair, so a later y exists iff
+            # a - x > cnt
             lo = bisect_right(seen, b)
-            cnt = bisect_left(seen, a) - lo
-            if cnt and a - seen[lo] > cnt:
+            at = bisect_left(seen, a, lo)
+            if at > lo and a - seen[lo] > at - lo:
                 return False
         else:
-            # 3-14-2: x is the largest of the cnt earlier letters in (a, b);
-            # the other cnt - 1 are all that (a, x) holds of its x - a - 1
-            # values before the pair, so a later y exists iff x - a > cnt
+            # 3-14-2: x is the largest of the cnt = hi - at earlier letters
+            # in (a, b); the other cnt - 1 are all that (a, x) holds of its
+            # x - a - 1 values before the pair, so a later y exists iff
+            # x - a > cnt
             hi = bisect_left(seen, b)
-            cnt = hi - bisect_right(seen, a)
-            if cnt and seen[hi - 1] - a > cnt:
+            at = bisect_right(seen, a, 0, hi)
+            if hi > at and seen[hi - 1] - a > hi - at:
                 return False
-        insort(seen, a)
+        seen.insert(at, a)  # at is where a sorts in, as the values are distinct
     return True
 
 

@@ -1,0 +1,139 @@
+"""The bodies that the fused one-pass cores replaced, kept as test oracles:
+descent sets built one generator at a time, the Baxter sweep that bisects
+again to insert, the Françon-Viennot map with its letter classes read in a
+separate pass, history validity against a height profile, the middle path
+of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, and the
+path-triple word check run word by word."""
+from bisect import bisect_left, bisect_right, insort
+
+from baxlab.bijections import MalformedMiddleError
+from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
+from baxlab.paths import PathTriple, h_prefix
+from baxlab.perm import StatProfile, descent_bottoms, descent_positions, descent_tops, inverse
+
+
+def stat_profile_by_sets(p):
+    """Six descent sets, each built by its own generator."""
+    n = len(p)
+    q = inverse(p)
+    des = descent_positions(p)
+    dt = descent_tops(p)
+    db = descent_bottoms(p)
+    ides = descent_positions(q)
+    idt = descent_tops(q)
+    idb = descent_bottoms(q)
+    dt_mod = frozenset(v - 1 for v in dt)
+    idt_mod = frozenset(v - 1 for v in idt)
+    dt_hat = frozenset((dt | {p[-1]}) - {n})
+    return StatProfile(
+        des_set=des,
+        dt_set=dt,
+        db_set=db,
+        dt_mod_set=dt_mod,
+        dt_hat_set=dt_hat,
+        ides_set=ides,
+        idt_set=idt,
+        idb_set=idb,
+        idt_mod_set=idt_mod,
+        des=len(des),
+        maj=sum(des),
+        imaj_b=sum(idb),
+        imaj_t=sum(idt_mod),
+    )
+
+
+def is_baxter_by_insort(p):
+    """The sorted-prefix sweep, with a fresh bisection for every insertion."""
+    seen = []
+    for j in range(len(p) - 1):
+        a, b = p[j], p[j + 1]
+        if a > b:
+            lo = bisect_right(seen, b)
+            cnt = bisect_left(seen, a) - lo
+            if cnt and a - seen[lo] > cnt:
+                return False
+        else:
+            hi = bisect_left(seen, b)
+            cnt = hi - bisect_right(seen, a)
+            if cnt and seen[hi - 1] - a > cnt:
+                return False
+        insort(seen, a)
+    return True
+
+
+def _letter_classes(p, labels):
+    """Letter i gets labels[2 * (left > i) + (right > i)], pi_0 = pi_{n+1} = 0."""
+    padded = (0, *p, 0)
+    out = [labels[0]] * len(p)
+    for left, v, right in zip(padded, p, padded[2:]):
+        out[v - 1] = labels[2 * (left > v) + (right > v)]
+    return out[:-1]
+
+
+def psi_fv_by_two_passes(p):
+    """(word, weights) of psi_fv: the classes in one pass, the weights in another."""
+    n = len(p)
+    word = "".join(_letter_classes(p, "DRBU"))
+    weight = [0] * (n + 1)
+    tops = []
+    bottoms = []
+    for k, v in enumerate(p):
+        weight[v] = 1 + bisect_left(bottoms, v) - bisect_right(tops, v)
+        if k and p[k - 1] > v:
+            insort(tops, p[k - 1])
+            insort(bottoms, v)
+    return word, tuple(weight[1:n])
+
+
+def validity_by_profile(word, weights):
+    """Count the U and D steps, zip the weights with the height profile, then
+    zip them again with their successors for the increment rules."""
+    if word.count("U") != word.count("D") or not all(
+        1 <= m <= hi for m, hi in zip(weights, height_profile(word))
+    ):
+        return Validity(False, False)
+    for c, a, b in zip(word, weights, weights[1:]):
+        if b - a not in ((0, 1) if c in "UB" else (0, -1)):
+            return Validity(True, False)
+    return Validity(True, True)
+
+
+_BOTTOM_STEPS = str.maketrans("UBDR", "HHVV")
+_TOP_STEPS = str.maketrans("DBUR", "HHVV")
+
+
+def phi_by_prefix_counts(word, weights):
+    """phi of a history: the laguerre check, then the middle path's H-prefix
+    counts 1 + h_bot(i) - mu_i, closed by h_mid = h_bot at the end."""
+    if not validity_by_profile(word, weights).laguerre_ok:
+        raise MalformedHistoryError("weights leave their bounds or word does not close")
+    bottom = word.translate(_BOTTOM_STEPS)
+    hb = h_prefix(bottom)
+    hm = [1 + b - w for b, w in zip(hb, weights)]
+    hm.append(hb[-1])
+    steps = [b - a for a, b in zip(hm, hm[1:])]
+    if not {0, 1}.issuperset(steps):
+        i, d = next((i, d) for i, d in enumerate(steps) if d not in (0, 1))
+        raise MalformedMiddleError(
+            f"middle step {i + 1} would jump by ({d}, {1 - d}); "
+            "weights do not satisfy the increment rules"
+        )
+    return PathTriple(bottom, "".join(["VH"[d] for d in steps]), word.translate(_TOP_STEPS))
+
+
+_PAIR_TO_LETTER = {"VH": "U", "HV": "D", "VV": "R", "HH": "B"}
+
+
+def phi_inverse_by_prefix_counts(bottom, middle, top):
+    """(word, weights) of phi_inverse: weight i is 1 + h_bot(i) - h_mid(i)."""
+    word = "".join(_PAIR_TO_LETTER[t + b] for t, b in zip(top, bottom))
+    hb, hm = h_prefix(bottom), h_prefix(middle)
+    return word, tuple([1 + b - mid for b, mid in zip(hb[:-1], hm)])
+
+
+def check_words_one_by_one(bottom, middle, top):
+    """The ValueError PathTriple raises for its words, or None."""
+    for steps in (bottom, middle, top):
+        if not isinstance(steps, str) or steps.strip("HV"):
+            return ValueError(f"steps must be a word over 'HV': {steps!r}")
+    return None

@@ -1,0 +1,134 @@
+"""The one-pass cores against the bodies they replaced (``core_oracles``),
+and the public enumerators against the private generators they wrap."""
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+
+from baxlab.bijections import _phi, _phi_inverse, phi
+from baxlab.laguerre import (
+    LETTERS,
+    LaguerreHistory,
+    _histories,
+    _psi_fv,
+    _validity,
+    enumerate_histories,
+    height_profile,
+    is_motzkin_word,
+)
+from baxlab.paths import PathTriple, _tlp_words, enumerate_tlp
+from baxlab.perm import _is_baxter, all_permutations, stat_profile
+from core_oracles import (
+    check_words_one_by_one,
+    is_baxter_by_insort,
+    phi_by_prefix_counts,
+    phi_inverse_by_prefix_counts,
+    psi_fv_by_two_passes,
+    stat_profile_by_sets,
+    validity_by_profile,
+)
+from strategies import large_permutations
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_the_replaced_bodies(p):
+    assert stat_profile(p) == stat_profile_by_sets(p), p
+    assert _is_baxter(p) == is_baxter_by_insort(p), p
+    word, weights = _psi_fv(p)
+    assert (word, weights) == psi_fv_by_two_passes(p), p
+    assert _validity(word, weights) == validity_by_profile(word, weights), p
+    t = _outcome(_phi, word, weights)
+    assert t == _outcome(phi_by_prefix_counts, word, weights), p
+    if isinstance(t, PathTriple):
+        words = (t.bottom, t.middle, t.top)
+        assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words), p
+
+
+def test_cores_match_the_replaced_bodies_on_all_of_s8():
+    for n in range(1, 9):
+        for p in all_permutations(n):
+            _same_as_the_replaced_bodies(p)
+
+
+def test_cores_match_the_replaced_bodies_on_b9(bax):
+    for p in bax.get(9):
+        _same_as_the_replaced_bodies(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_permutations())
+def test_cores_match_the_replaced_bodies_up_to_n300(p):
+    _same_as_the_replaced_bodies(p)
+
+
+def _weight_ranges(word):
+    return [range(h + 2) for h in height_profile(word)]
+
+
+def _same_history_outcomes(word, weights):
+    assert _validity(word, weights) == validity_by_profile(word, weights), (word, weights)
+    got = _outcome(phi, LaguerreHistory(word, weights))
+    assert got == _outcome(phi_by_prefix_counts, word, weights), (word, weights)
+
+
+def test_validity_and_phi_match_the_replaced_bodies_on_short_histories():
+    # every word of length <= 5 with every weight in 0..h_i + 1, where the
+    # bounds 1..h_i hold and where they fail by one on either side
+    for length in range(6):
+        for word in map("".join, product(LETTERS, repeat=length)):
+            for weights in product(*_weight_ranges(word)):
+                _same_history_outcomes(word, weights)
+
+
+def test_validity_and_phi_match_the_replaced_bodies_on_closed_words_of_length_6():
+    # the weights of every closed word of length 6 in 0..h_i + 1; phi gets
+    # past the bounds check only on closed words
+    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=6))):
+        for weights in product(*_weight_ranges(word)):
+            _same_history_outcomes(word, weights)
+
+
+_WORDS = ["", *("".join(w) for m in range(1, 4) for w in product("HV", repeat=m))]
+
+
+def test_path_triple_names_the_first_bad_word_like_the_word_by_word_check():
+    bad = ["X", "HX", "h", " H", "HVV ", None, 3, b"HV", ["H"]]
+    for words in product(_WORDS[:7] + bad, repeat=3):
+        want = check_words_one_by_one(*words)
+        try:
+            PathTriple(*words)
+        except ValueError as exc:
+            got = exc
+        else:
+            got = None
+        if want is None:  # the words pass; only their lengths may be rejected
+            assert got is None or str(got).startswith("paths must have equal lengths"), words
+        else:
+            assert type(got) is ValueError and str(got) == str(want), words
+
+
+def test_path_triple_accepts_every_triple_of_equal_short_words():
+    for m in range(4):
+        same_length = [w for w in _WORDS if len(w) == m]
+        for words in product(same_length, repeat=3):
+            t = PathTriple(*words)
+            assert (t.bottom, t.middle, t.top) == words
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_tlp_wraps_the_step_words(n):
+    for k in range(n):
+        assert [(t.bottom, t.middle, t.top) for t in enumerate_tlp(n, k)] == list(_tlp_words(n, k))
+
+
+def test_enumerate_histories_wraps_the_pairs():
+    for length in range(7):
+        assert [(h.word, h.weights) for h in enumerate_histories(length)] == list(
+            _histories(length)
+        )

@@ -18,13 +18,13 @@ from baxlab.laguerre import (
 )
 from baxlab.perm import (
     all_permutations,
-    insertion_slots,
     is_baxter,
     is_baxter_bruteforce,
     iter_baxter,
 )
 from baxlab.qseries import baxter_number
 from fv_oracles import is_baxter_by_scan, psi_fv_by_scan, psi_fv_inverse_by_rescan
+from strategies import large_permutations
 
 EX9_HISTORY = LaguerreHistory("URUDDBUD", (1, 2, 2, 2, 1, 1, 1, 2))
 EX9_PERM = (5, 1, 2, 4, 3, 9, 7, 8, 6)
@@ -45,6 +45,23 @@ def test_history_construction_errors():
 def test_history_rejects_non_integer_weights(weights):
     with pytest.raises(ValueError, match="integers"):
         LaguerreHistory("UD", weights)
+
+
+@pytest.mark.parametrize("word", [["U", "D"], ("U", "D"), None, 12, b"UD"])
+def test_history_rejects_a_word_that_is_not_a_string(word):
+    with pytest.raises(ValueError, match="word must be over") as info:
+        LaguerreHistory(word, (1, 1))
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("weights", [None, 1, 1.5])
+def test_history_rejects_weights_that_are_not_a_sequence(weights):
+    with pytest.raises(MalformedHistoryError, match="sequence of integers"):
+        LaguerreHistory("", weights)
+
+
+def test_history_reads_weights_from_an_iterator_once():
+    assert LaguerreHistory("UD", iter([1, 2])).weights == (1, 2)
 
 
 def test_height_profile_golden():
@@ -146,27 +163,6 @@ def test_psi_fv_and_inverse_match_the_quadratic_oracles_exhaustively():
             _same_as_the_oracles(p)
     for p in iter_baxter(9):
         _same_as_the_oracles(p)
-
-
-@st.composite
-def large_permutations(draw):
-    """A Baxter permutation grown by random insertions, then left as it is,
-    spoiled by one transposition, or replaced by a uniform permutation."""
-    n = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["baxter", "swapped", "uniform"]))
-    if kind == "uniform":
-        return tuple(draw(st.permutations(range(1, n + 1))))
-    p = (1,)
-    for m in range(2, n + 1):
-        slots = insertion_slots(p)
-        pos = slots[draw(st.integers(0, len(slots) - 1))]
-        p = p[: pos - 1] + (m,) + p[pos - 1 :]
-    if kind == "swapped":
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        q = list(p)
-        q[i], q[j] = q[j], q[i]
-        p = tuple(q)
-    return p
 
 
 @settings(max_examples=60, deadline=None)

@@ -163,7 +163,7 @@ def test_classify_letters_worked_example():
 
 
 def test_classify_letters_matches_the_position_table():
-    for n in range(0, 8):
+    for n in range(0, 9):
         for p in all_permutations(n):
             assert classify_letters(p) == classify_letters_by_position(p), p
 
