@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input or
-usage.  Set BAXLAB_JOBS to change the default worker count of ``verify``.
+usage.  ``verify --jobs N`` checks with min(N, CPU count) worker processes,
+which share one pool for the whole run; the report is the same for any N.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=harness.SUITE_NAMES, required=True)
     p_verify.add_argument("--n", type=int, default=8, help="size bound (default 8)")
-    p_verify.add_argument("--jobs", type=int, default=None, help="worker processes (default BAXLAB_JOBS or 1)")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count (default 1)")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     return parser
 

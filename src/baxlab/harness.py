@@ -7,13 +7,15 @@ regardless of the worker count.
 """
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
@@ -30,12 +32,12 @@ from .paths import (
 from .perm import (
     Perm,
     _is_baxter,
+    _stat_profile,
     all_permutations,
     insertion_slots,
     inverse,
     iter_baxter,
     shape_flags,
-    stat_profile,
 )
 from .qseries import (
     InexactDivisionError,
@@ -133,7 +135,7 @@ def _check_psi_roundtrip(p: Perm) -> str | None:
 
 
 def _check_psi_encoding(p: Perm) -> str | None:
-    prof = stat_profile(p)
+    prof = _stat_profile(p)
     t = psi(p)
     got = (decode_path(t.bottom), decode_path(t.middle), decode_path(t.top))
     want = (prof.db_set, prof.ides_set, prof.dt_hat_set)
@@ -206,46 +208,30 @@ def _check_q_binomial(mk: tuple[int, int]) -> str | None:
 
 _CHUNK = 4096
 
+# workers start from a fresh import: forking a process that runs threads is unsafe
+_Pool = multiprocessing.get_context("spawn").Pool
 
-def _scan_chunk(args: tuple[Callable, Iterable]) -> tuple[int, str | None]:
-    checker, items = args
-    count = 0
-    for count, item in enumerate(items, 1):
-        msg = checker(item)
-        if msg is not None:
-            return count, msg
-    return count, None
+# ``map``, or the lazy, ordered ``imap`` of a worker pool: results come back in
+# item order either way, so a report does not depend on the worker count
+Imap = Callable[[Callable, Iterable], Iterator]
 
 
-def _scan(checker: Callable, items: Iterable, jobs: int) -> tuple[int, str | None]:
-    """Items checked and the first failure message in deterministic order, or None.
+def _scan_check(label: str, checker: Callable, items: Iterable, imap: Imap, ok_detail: str) -> Check:
+    """Stream items through checker and stop at the first failure message.
 
-    With one job the items are consumed as they arrive and the scan stops at
-    the first failure; with more, they are listed and checked in chunks.
+    On success the detail is ok_detail with the item count put in.
     """
-    if jobs > 1:
-        items = list(items)
-    if jobs <= 1 or len(items) < 2 * _CHUNK:
-        return _scan_chunk((checker, items))
-    chunks = [items[i : i + _CHUNK] for i in range(0, len(items), _CHUNK)]
-    workers = min(jobs, os.cpu_count() or 1, len(chunks))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for i, (checked, msg) in enumerate(ex.map(_scan_chunk, [(checker, c) for c in chunks])):
-            if msg is not None:
-                return i * _CHUNK + checked, msg
-    return len(items), None
-
-
-def _scan_check(label: str, checker: Callable, items: Iterable, jobs: int, ok_detail: str) -> Check:
-    """Scan items with checker; on success the detail is ok_detail with the count put in."""
-    count, msg = _scan(checker, items, jobs)
-    return Check(label, msg is None, ok_detail.format(count) if msg is None else msg)
+    count = 0
+    for count, msg in enumerate(imap(checker, items), 1):
+        if msg is not None:
+            return Check(label, False, msg)
+    return Check(label, True, ok_detail.format(count))
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_bijection(n: int, jobs: int) -> list[Check]:
+def _suite_bijection(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         images: dict[int, dict[PathTriple, Perm]] = {}
@@ -285,7 +271,7 @@ def _suite_bijection(n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
+def _suite_roundtrip(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, min(n, FULL_SCAN_LIMIT) + 1):
         checks.append(
@@ -293,7 +279,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                 f"fv-roundtrip-n{m}",
                 _check_fv,
                 all_permutations(m),
-                jobs,
+                imap,
                 "round trip and history/pattern agreement on all {} permutations",
             )
         )
@@ -303,7 +289,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                 f"history-roundtrip-len{length}",
                 _check_history_roundtrip,
                 _histories(length),
-                jobs,
+                imap,
                 "all {} histories round trip",
             )
         )
@@ -313,7 +299,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                 f"gamma-prime-roundtrip-n{m}",
                 _check_gamma_prime_roundtrip,
                 iter_baxter(m),
-                jobs,
+                imap,
                 "inverse algorithm returns all {} Baxter permutations",
             )
         )
@@ -322,7 +308,7 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                 f"psi-roundtrip-n{m}",
                 _check_psi_roundtrip,
                 iter_baxter(m),
-                jobs,
+                imap,
                 "round trip on all {} Baxter permutations",
             )
         )
@@ -332,14 +318,14 @@ def _suite_roundtrip(n: int, jobs: int) -> list[Check]:
                     f"tlp-roundtrip-n{m}",
                     _check_tlp_roundtrip,
                     (t for k in range(m) for t in enumerate_tlp(m, k)),
-                    jobs,
+                    imap,
                     "all {} triples round trip through the inverse algorithm",
                 )
             )
     return checks
 
 
-def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
+def _suite_lemma_encodings(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
         checks.append(
@@ -347,7 +333,7 @@ def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
                 f"psi-encodings-n{m}",
                 _check_psi_encoding,
                 iter_baxter(m),
-                jobs,
+                imap,
                 "paths decode to (DB, IDES, DT-hat) on all {} permutations",
             )
         )
@@ -356,7 +342,7 @@ def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
         seen: dict[tuple, Perm] = {}
         failure = None
         for p in iter_baxter(m):
-            prof = stat_profile(p)
+            prof = _stat_profile(p)
             key = (prof.dt_mod_set, prof.ides_set, prof.db_set)
             if key in seen:
                 failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
@@ -375,14 +361,14 @@ def _suite_lemma_encodings(n: int, jobs: int) -> list[Check]:
                 f"insertion-cases-n{m}",
                 _check_insertion_cases,
                 iter_baxter(m - 1),
-                jobs,
+                imap,
                 "all growth steps match the predicted path surgery",
             )
         )
     return checks
 
 
-def _suite_polynomial(n: int, jobs: int) -> list[Check]:
+def _suite_polynomial(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
         try:
@@ -418,14 +404,14 @@ def _suite_polynomial(n: int, jobs: int) -> list[Check]:
             f"qbinomial-n{n}",
             _check_q_binomial,
             ((m, k) for m in range(n + 1) for k in range(m + 1)),
-            jobs,
+            imap,
             f"symmetry and q->1 specialisation hold up to n={n}",
         )
     )
     return checks
 
 
-def _suite_counts(n: int, jobs: int) -> list[Check]:
+def _suite_counts(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
         generated = sum(1 for _ in iter_baxter(m))
@@ -474,7 +460,7 @@ _BAX6_GOLDEN = [
 ]
 
 
-def _suite_corollaries(n: int, jobs: int) -> list[Check]:
+def _suite_corollaries(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, n + 1):
         alt = ralt = 0
@@ -514,7 +500,7 @@ def _suite_corollaries(n: int, jobs: int) -> list[Check]:
     return checks
 
 
-_SUITES: dict[str, Callable[[int, int], list[Check]]] = {
+_SUITES: dict[str, Callable[[int, Imap], list[Check]]] = {
     "bijection": _suite_bijection,
     "roundtrip": _suite_roundtrip,
     "lemma-encodings": _suite_lemma_encodings,
@@ -524,27 +510,22 @@ _SUITES: dict[str, Callable[[int, int], list[Check]]] = {
 }
 
 
-def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BAXLAB_JOBS", "1")))
-    except ValueError:
-        return 1
+def run_suite(name: str, n: int, jobs: int = 1) -> Report:
+    """Run one named suite (or ``all``) up to size n and report per-check results.
 
-
-def run_suite(name: str, n: int, jobs: int | None = None) -> Report:
-    """Run one named suite (or ``all``) up to size n and report per-check results."""
+    With ``min(jobs, cpu count)`` above one, a single worker pool serves the
+    whole run and receives each level in chunks as it is generated.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    names = SUITE_NAMES[:-1] if name == "all" else (name,)
+    workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
-    if name == "all":
-        checks: list[Check] = []
-        for sub in SUITE_NAMES[:-1]:
-            checks.extend(_SUITES[sub](n, jobs))
-    else:
-        checks = _SUITES[name](n, jobs)
+    with _Pool(workers) if workers > 1 else nullcontext() as pool:
+        imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
+        checks = [check for sub in names for check in _SUITES[sub](n, imap)]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Report(name, n, tuple(checks), elapsed_ms)
 

@@ -119,26 +119,23 @@ def _step_words(h_count: int, ceiling: Sequence[int]) -> Iterator[str]:
 
     Yields in lexicographic order (H < V).  Prunes a branch as soon as an H
     step would pass the ceiling or the remaining H/V budget cannot fill the
-    remaining steps.
+    remaining steps.  The depth-first walk keeps an explicit stack of
+    (prefix, H count) pairs instead of recursing once per step, so long
+    words stay within the recursion limit; the V branch is pushed before
+    the H branch so that H comes out first.
     """
     length = len(ceiling) - 1
-    word: list[str] = []
-
-    def extend(h: int) -> Iterator[str]:
+    stack = [("", 0)]
+    while stack:
+        word, h = stack.pop()
         i = len(word)
         if i == length:
-            yield "".join(word)
-            return
-        if h < h_count and h < ceiling[i + 1]:
-            word.append("H")
-            yield from extend(h + 1)
-            word.pop()
+            yield word
+            continue
         if length - i - 1 >= h_count - h:
-            word.append("V")
-            yield from extend(h)
-            word.pop()
-
-    yield from extend(0)
+            stack.append((word + "V", h))
+        if h < h_count and h < ceiling[i + 1]:
+            stack.append((word + "H", h + 1))
 
 
 def _tlp_words(n: int, k: int) -> Iterator[tuple[str, str, str]]:

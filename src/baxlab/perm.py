@@ -118,7 +118,17 @@ def _descents(p: Perm) -> tuple[list[int], list[int], list[int]]:
 
 
 def stat_profile(p: Perm) -> StatProfile:
-    """All descent sets of p and of its inverse, plus the three major indices."""
+    """All descent sets of p and of its inverse, plus the three major indices.
+
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
+    """
+    check_permutation(p)
+    return _stat_profile(p)
+
+
+def _stat_profile(p: Perm) -> StatProfile:
+    """:func:`stat_profile` of a permutation of 1..len(p), unchecked."""
     des, dt, db = _descents(p)
     ides, idt, idb = _descents(inverse(p))
     dt_set = frozenset(dt)
@@ -163,9 +173,13 @@ def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
     descent/ascent if it is passed downwards/upwards.  The rule lives in the
     sweep of :func:`~baxlab.laguerre.psi_fv`, whose word spells the classes
     as U, D, B and R.
+
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
     """
     from .laguerre import _psi_fv  # laguerre imports this module
 
+    check_permutation(p)
     return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(p)[0]))
 
 

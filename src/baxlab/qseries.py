@@ -8,7 +8,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping
 
-from .perm import iter_baxter, stat_profile
+from .perm import _stat_profile, iter_baxter
 
 
 class InexactDivisionError(ArithmeticError):
@@ -276,7 +276,7 @@ def baxter_polynomial_lhs(n: int) -> TQPoly:
     """Brute sum of t^des q^(imaj_b + maj + imaj_t) over all Baxter permutations."""
     acc: dict[tuple[int, int], int] = {}
     for p in iter_baxter(n):
-        prof = stat_profile(p)
+        prof = _stat_profile(p)
         key = (prof.des, prof.imaj_b + prof.maj + prof.imaj_t)
         acc[key] = acc.get(key, 0) + 1
     return TQPoly(acc)

@@ -2,8 +2,9 @@
 descent sets built one generator at a time, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map with its letter classes read in a
 separate pass, history validity against a height profile, the middle path
-of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, and the
-path-triple word check run word by word."""
+of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
+path-triple word check run word by word, and the step-word walk that
+recursed once per step."""
 from bisect import bisect_left, bisect_right, insort
 
 from baxlab.bijections import MalformedMiddleError
@@ -137,3 +138,24 @@ def check_words_one_by_one(bottom, middle, top):
         if not isinstance(steps, str) or steps.strip("HV"):
             return ValueError(f"steps must be a word over 'HV': {steps!r}")
     return None
+
+
+def step_words_by_recursion(h_count, ceiling):
+    length = len(ceiling) - 1
+    word = []
+
+    def extend(h):
+        i = len(word)
+        if i == length:
+            yield "".join(word)
+            return
+        if h < h_count and h < ceiling[i + 1]:
+            word.append("H")
+            yield from extend(h + 1)
+            word.pop()
+        if length - i - 1 >= h_count - h:
+            word.append("V")
+            yield from extend(h)
+            word.pop()
+
+    yield from extend(0)

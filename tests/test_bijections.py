@@ -15,7 +15,7 @@ from baxlab.bijections import (
     psi,
     psi_inverse,
 )
-from baxlab.harness import _check_insertion_cases, _scan
+from baxlab.harness import _check_insertion_cases
 from baxlab.laguerre import LaguerreHistory, Validity, enumerate_histories, psi_fv, validate
 from baxlab.paths import PathTriple, decode_path, encode_set, enumerate_tlp
 from baxlab.perm import (
@@ -331,4 +331,4 @@ def test_statistic_triples_are_injective(bax):
 
 def test_insertion_case_surgery():
     for n in range(2, 7):
-        assert _scan(_check_insertion_cases, iter_baxter(n - 1), jobs=1)[1] is None
+        assert all(_check_insertion_cases(p) is None for p in iter_baxter(n - 1))

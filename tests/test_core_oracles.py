@@ -16,7 +16,7 @@ from baxlab.laguerre import (
     height_profile,
     is_motzkin_word,
 )
-from baxlab.paths import PathTriple, _tlp_words, enumerate_tlp
+from baxlab.paths import PathTriple, _step_words, _tlp_words, enumerate_tlp, h_prefix
 from baxlab.perm import _is_baxter, all_permutations, stat_profile
 from core_oracles import (
     check_words_one_by_one,
@@ -25,6 +25,7 @@ from core_oracles import (
     phi_inverse_by_prefix_counts,
     psi_fv_by_two_passes,
     stat_profile_by_sets,
+    step_words_by_recursion,
     validity_by_profile,
 )
 from strategies import large_permutations
@@ -119,6 +120,18 @@ def test_path_triple_accepts_every_triple_of_equal_short_words():
         for words in product(same_length, repeat=3):
             t = PathTriple(*words)
             assert (t.bottom, t.middle, t.top) == words
+
+
+def test_step_words_match_the_recursive_walk():
+    # every ceiling a lower path can set: the H-prefix counts of its step word
+    for length in range(9):
+        for below in map("".join, product("HV", repeat=length)):
+            ceiling = h_prefix(below)
+            for h_count in range(length + 1):
+                got = list(_step_words(h_count, ceiling))
+                assert got == list(step_words_by_recursion(h_count, ceiling)), (below, h_count)
+    for h_count in range(4):  # the free bottom path, whose ceiling is h(i) <= i
+        assert list(_step_words(h_count, range(9))) == list(step_words_by_recursion(h_count, range(9)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from baxlab import cli, harness, jsonio
 from baxlab.bijections import gamma, gamma_prime, psi
-from baxlab.harness import render_ascii, run_suite
+from baxlab.harness import Check, render_ascii, run_suite
 from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
 from baxlab.perm import all_permutations
 from vertex_oracles import vertices
@@ -59,20 +60,22 @@ def test_report_serialization():
 
 
 def test_parallel_scan_matches_serial(monkeypatch):
-    perms = list(all_permutations(6))
-    serial = harness._scan(harness._check_fv, perms, jobs=1)
+    serial = run_suite("roundtrip", 6, jobs=1)
     monkeypatch.setattr(harness, "_CHUNK", 64)
-    parallel = harness._scan(harness._check_fv, perms, jobs=2)
-    assert serial == parallel == (720, None)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    parallel = run_suite("roundtrip", 6, jobs=2)  # a real pool of two workers
+    assert serial.passed and serial.checks == parallel.checks
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for the worker pool: records the worker count and what
+    ``imap`` receives, and maps in-process."""
 
     requested = []
+    received = []
 
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
+    def __init__(self, processes):
+        self.requested.append(processes)
 
     def __enter__(self):
         return self
@@ -80,28 +83,50 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def imap(self, fn, items, chunksize=1):
+        self.received.append(items)
         return map(fn, items)
 
 
-@pytest.mark.parametrize(
-    "jobs, cpus, want", [(2, 8, 2), (100000, 8, 4), (100000, 3, 3), (100000, None, 1)]
-)
-def test_scan_caps_the_worker_count(monkeypatch, jobs, cpus, want):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_CHUNK", 32)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(harness, "_Pool", RecordingPool)
     RecordingPool.requested.clear()
-    perms = list(all_permutations(5))  # 120 items: four chunks
-    assert harness._scan(harness._check_fv, perms, jobs=jobs) == (120, None)
-    assert RecordingPool.requested == [want]
+    RecordingPool.received.clear()
+    return RecordingPool
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, want", [(2, 8, 2), (100000, 8, 8), (100000, 3, 3), (100000, None, 1)]
+)
+def test_scan_caps_the_worker_count(monkeypatch, recording_pool, jobs, cpus, want):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    assert run_suite("roundtrip", 4, jobs=jobs).passed
+    # one pool serves the whole run, and none is started for a single worker
+    assert recording_pool.requested == ([want] if want > 1 else [])
+
+
+def test_the_pool_streams_the_items_it_is_given(monkeypatch, recording_pool):
+    made = []
+
+    def tracked_permutations(m):
+        made.append(all_permutations(m))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "all_permutations", tracked_permutations)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_suite("roundtrip", 4, jobs=2).passed
+    assert len(made) == 4
+    # each level reaches imap as the generator itself, never listed first
+    assert all(any(got is it for got in recording_pool.received) for it in made)
+    assert not any(isinstance(got, (list, tuple)) for got in recording_pool.received)
 
 
 def starts_with_a_descent(p):
     return f"{p} starts with a descent" if p[0] > p[1] else None
 
 
-def test_scan_stops_at_the_first_failure(monkeypatch):
+def test_scan_stops_at_the_first_failure():
     consumed = []
 
     def items():
@@ -109,12 +134,12 @@ def test_scan_stops_at_the_first_failure(monkeypatch):
             consumed.append(p)
             yield p
 
-    want = (25, "(2, 1, 3, 4, 5) starts with a descent")
-    assert harness._scan(starts_with_a_descent, items(), jobs=1) == want
+    want = Check("x", False, "(2, 1, 3, 4, 5) starts with a descent")
+    assert harness._scan_check("x", starts_with_a_descent, items(), map, "{}") == want
     assert len(consumed) == 25
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_CHUNK", 8)
-    assert harness._scan(starts_with_a_descent, all_permutations(5), jobs=2) == want
+    with harness._Pool(2) as pool:
+        imap = functools.partial(pool.imap, chunksize=8)
+        assert harness._scan_check("x", starts_with_a_descent, all_permutations(5), imap, "{}") == want
 
 
 def test_gamma_image_failure_names_the_first_witness(monkeypatch):
@@ -151,15 +176,6 @@ def test_image_folds_stop_at_the_triple_enumeration_limit(monkeypatch):
     assert [x for x in labels if x.startswith("psi-encodings")] == [
         f"psi-encodings-n{m}" for m in range(1, 6)
     ]
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("BAXLAB_JOBS", "3")
-    assert harness.default_jobs() == 3
-    monkeypatch.setenv("BAXLAB_JOBS", "junk")
-    assert harness.default_jobs() == 1
-    monkeypatch.delenv("BAXLAB_JOBS")
-    assert harness.default_jobs() == 1
 
 
 def canvas_marks(text, mark):
@@ -248,6 +264,13 @@ def test_cli_enum_count(capsys):
     rc = cli.main(["enum", "--n", "4", "--format", "count"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "22"
+
+
+@pytest.mark.parametrize("k", ["0", "1499"])
+def test_cli_enum_counts_the_single_triple_of_a_long_path(k, capsys):
+    # one step word of 1,499 letters: deeper than the default recursion limit
+    assert cli.main(["enum", "--n", "1500", "--k", k, "--format", "count"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_cli_enum_csv(capsys):

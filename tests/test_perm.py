@@ -163,9 +163,27 @@ def test_classify_letters_worked_example():
 
 
 def test_classify_letters_matches_the_position_table():
-    for n in range(0, 9):
+    with pytest.raises(InvalidPermutationError):
+        classify_letters(())  # S_0 holds only the empty word, which no map accepts
+    for n in range(1, 9):
         for p in all_permutations(n):
             assert classify_letters(p) == classify_letters_by_position(p), p
+
+
+@pytest.mark.parametrize("fn", [stat_profile, classify_letters])
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((), "length >= 1"),
+        ((2, 2), "not a permutation of 1..2"),
+        ((5,), "not a permutation of 1..1"),
+        ((1, 1), "not a permutation of 1..2"),
+    ],
+    ids=["empty", "twice-2", "too-large", "twice-1"],
+)
+def test_statistics_reject_words_that_are_not_permutations(fn, word, message):
+    with pytest.raises(InvalidPermutationError, match=message):
+        fn(word)
 
 
 def test_letters_passed_downward_are_the_descent_bottoms():
