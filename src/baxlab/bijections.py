@@ -91,15 +91,16 @@ def phi(h: LaguerreHistory) -> PathTriple:
     """
     if not _validity(h.word, h.weights).laguerre_ok:
         raise MalformedHistoryError("weights leave their bounds or word does not close")
-    return _phi(h.word, h.weights)
+    return PathTriple(*_phi(h.word, h.weights))
 
 
 _BOTTOM_STEPS = str.maketrans("UBDR", "HHVV")
 _TOP_STEPS = str.maketrans("DBUR", "HHVV")
 
 
-def _phi(word: str, weights: tuple[int, ...]) -> PathTriple:
-    """:func:`phi` of a history whose weights keep their bounds, unchecked.
+def _phi(word: str, weights: tuple[int, ...]) -> tuple[str, str, str]:
+    """The (bottom, middle, top) words of :func:`phi` of a history whose
+    weights keep their bounds, unchecked.
 
     With w_L = 1 closing the weights of a word of length L, middle step i
     moves h_mid by [bottom step i is H] - (w_{i+1} - w_i).
@@ -114,7 +115,7 @@ def _phi(word: str, weights: tuple[int, ...]) -> PathTriple:
             f"middle step {i + 1} would jump by ({d}, {1 - d}); "
             "weights do not satisfy the increment rules"
         )
-    return PathTriple(bottom, "".join(["VH"[d] for d in steps]), word.translate(_TOP_STEPS))
+    return bottom, "".join(["VH"[d] for d in steps]), word.translate(_TOP_STEPS)
 
 
 def phi_inverse(t: PathTriple) -> LaguerreHistory:
@@ -157,7 +158,7 @@ def psi(p: Perm) -> PathTriple:
     check_permutation(p)
     if not _is_baxter(p):
         raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
-    return _phi(*_psi_fv(p))
+    return PathTriple(*_phi(*_psi_fv(p)))
 
 
 def psi_inverse(t: PathTriple) -> Perm:
@@ -189,12 +190,18 @@ def gamma_prime_inverse(t: PathTriple) -> Perm:
     triple, so they go to the core without being built or checked again.
     """
     tlp_parameters(t)
-    word = ("V" + t.top)[:-1]
-    if t.top.endswith("H"):
-        gap = [a - b for a, b in zip(h_prefix(t.middle), h_prefix(word))]
+    return _gamma_prime_inverse(t.bottom, t.middle, t.top)
+
+
+def _gamma_prime_inverse(bottom: str, middle: str, top: str) -> Perm:
+    """:func:`gamma_prime_inverse` of the words of a triple that passes
+    :func:`tlp_parameters`, unchecked."""
+    word = ("V" + top)[:-1]
+    if top.endswith("H"):
+        gap = [a - b for a, b in zip(h_prefix(middle), h_prefix(word))]
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
-    return _psi_fv_inverse(*_phi_inverse(t.bottom, t.middle, word))
+    return _psi_fv_inverse(*_phi_inverse(bottom, middle, word))
 
 
 def gamma_inverse(t: PathTriple) -> Perm:

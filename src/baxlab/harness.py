@@ -17,18 +17,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .bijections import gamma, gamma_prime, gamma_prime_inverse, psi, psi_inverse
+from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
 from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
-from .paths import (
-    BOTTOM_START,
-    MIDDLE_START,
-    TOP_START,
-    PathTriple,
-    _tlp_words,
-    decode_path,
-    enumerate_tlp,
-)
+from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
     _is_baxter,
@@ -102,8 +94,18 @@ def _perm_json(p: Perm) -> str:
     return json.dumps(perm_to_obj(p))
 
 
-def _triple_json(t: PathTriple) -> str:
-    return json.dumps(triple_to_obj(t))
+def _triple_json(words: tuple[str, str, str]) -> str:
+    return json.dumps(triple_to_obj(PathTriple(*words)))
+
+
+def _bits(s: Iterable[int]) -> int:
+    return sum(map((1).__lshift__, s))
+
+
+def _split_key(key: str) -> tuple[str, str, str]:
+    """The words of a triple keyed by their concatenation; they have equal lengths."""
+    step = len(key) // 3
+    return key[:step], key[step : 2 * step], key[2 * step :]
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +125,25 @@ def _check_fv(p: Perm) -> str | None:
 
 
 def _check_gamma_prime_roundtrip(p: Perm) -> str | None:
-    if gamma_prime_inverse(gamma_prime(p)) != p:
+    if _gamma_prime_inverse(*_gamma_words(inverse(p), p)) != p:
         return f"round trip failed for {_perm_json(p)}"
     return None
 
 
 def _check_psi_roundtrip(p: Perm) -> str | None:
-    if psi_inverse(psi(p)) != p:
+    if _psi_fv_inverse(*_phi_inverse(*_phi(*_psi_fv(p)))) != p:
         return f"round trip failed for {_perm_json(p)}"
     return None
 
 
 def _check_psi_encoding(p: Perm) -> str | None:
     prof = _stat_profile(p)
-    t = psi(p)
-    got = (decode_path(t.bottom), decode_path(t.middle), decode_path(t.top))
+    bottom, middle, top = _phi(*_psi_fv(p))
+    got = (decode_path(bottom), decode_path(middle), decode_path(top))
     want = (prof.db_set, prof.ides_set, prof.dt_hat_set)
     if got != want:
         return f"psi of {_perm_json(p)} decodes to {got}, statistics say {want}"
-    g = gamma_prime(p)
-    if t.bottom != g.bottom or t.middle != g.middle:
+    if _gamma_words(inverse(p), p)[:2] != (bottom, middle):
         return f"psi and gamma_prime disagree below the top path for {_perm_json(p)}"
     return None
 
@@ -154,21 +155,20 @@ def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None
     return None
 
 
-def _check_tlp_roundtrip(t: PathTriple) -> str | None:
-    if gamma_prime(gamma_prime_inverse(t)) != t:
-        return f"triple {_triple_json(t)} does not round trip"
+def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
+    p = _gamma_prime_inverse(*words)
+    if _gamma_words(inverse(p), p) != words:
+        return f"triple {_triple_json(words)} does not round trip"
     return None
 
 
 def _check_insertion_cases(parent: Perm) -> str | None:
     """Compare each child triple of the growth step against the predicted surgery."""
     m = len(parent) + 1
-    gp = gamma_prime(parent)
-    bw, mw, tw = gp.bottom, gp.middle, gp.top
+    bw, mw, tw = _gamma_words(inverse(parent), parent)
     for pos in insertion_slots(parent):
         child = parent[: pos - 1] + (m,) + parent[pos - 1 :]
-        gc = gamma_prime(child)
-        got = (gc.bottom, gc.middle, gc.top)
+        got = _gamma_words(inverse(child), child)
         if pos == m:  # new maximum at the end: all paths gain a vertical step
             want = (bw + "V", mw + "V", tw + "V")
         elif pos > 1 and parent[pos - 2] == max(parent[pos - 2 :]):
@@ -219,11 +219,23 @@ Imap = Callable[[Callable, Iterable], Iterator]
 def _scan_check(label: str, checker: Callable, items: Iterable, imap: Imap, ok_detail: str) -> Check:
     """Stream items through checker and stop at the first failure message.
 
-    On success the detail is ok_detail with the item count put in.
+    On success the detail is ok_detail with the item count put in.  On a
+    failure the feed ends too: a pool's task thread, which pulls the items
+    ahead of the results, would otherwise hand its workers the rest of the
+    level before the next scan's items.
     """
+    failed = False
+
+    def feed() -> Iterator:
+        for item in items:
+            if failed:
+                return
+            yield item
+
     count = 0
-    for count, msg in enumerate(imap(checker, items), 1):
+    for count, msg in enumerate(imap(checker, feed()), 1):
         if msg is not None:
+            failed = True
             return Check(label, False, msg)
     return Check(label, True, ok_detail.format(count))
 
@@ -234,22 +246,25 @@ def _scan_check(label: str, checker: Callable, items: Iterable, imap: Imap, ok_d
 def _suite_bijection(n: int, imap: Imap) -> list[Check]:
     checks = []
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
-        images: dict[int, dict[PathTriple, Perm]] = {}
+        # a triple is keyed by its concatenated words: equal lengths make the
+        # key injective and order it as PathTriple orders the triple
+        images: dict[int, dict[str, Perm]] = {}
         failure = None
         for p in iter_baxter(m):
-            t = gamma(p)
-            bucket = images.setdefault(t.bottom.count("H"), {})
-            if t in bucket:
+            words = _gamma_words(p, inverse(p))
+            key = "".join(words)
+            bucket = images.setdefault(words[0].count("H"), {})
+            if key in bucket:
                 failure = (
-                    f"{_perm_json(p)} and {_perm_json(bucket[t])} share the image "
-                    f"{_triple_json(t)}"
+                    f"{_perm_json(p)} and {_perm_json(bucket[key])} share the image "
+                    f"{_triple_json(words)}"
                 )
                 break
-            bucket[t] = p
+            bucket[key] = p
         total = 0
         if failure is None:
             for k in range(m):
-                enumerated = set(enumerate_tlp(m, k))
+                enumerated = set(map("".join, _tlp_words(m, k)))
                 image = images.get(k, {})
                 if image.keys() != enumerated:
                     missing = enumerated - image.keys()
@@ -257,7 +272,7 @@ def _suite_bijection(n: int, imap: Imap) -> list[Check]:
                     witness = min(missing or extra)
                     failure = (
                         f"k={k}: image misses {len(missing)} triples, adds {len(extra)}; "
-                        f"first: {_triple_json(witness)}"
+                        f"first: {_triple_json(_split_key(witness))}"
                     )
                     break
                 total += len(enumerated)
@@ -317,7 +332,7 @@ def _suite_roundtrip(n: int, imap: Imap) -> list[Check]:
                 _scan_check(
                     f"tlp-roundtrip-n{m}",
                     _check_tlp_roundtrip,
-                    (t for k in range(m) for t in enumerate_tlp(m, k)),
+                    (w for k in range(m) for w in _tlp_words(m, k)),
                     imap,
                     "all {} triples round trip through the inverse algorithm",
                 )
@@ -339,11 +354,12 @@ def _suite_lemma_encodings(n: int, imap: Imap) -> list[Check]:
         )
         if m > TLP_ENUM_LIMIT:
             continue
-        seen: dict[tuple, Perm] = {}
+        # the three subsets of 1..m-1 as bit masks m bits apart, one small int
+        seen: dict[int, Perm] = {}
         failure = None
         for p in iter_baxter(m):
             prof = _stat_profile(p)
-            key = (prof.dt_mod_set, prof.ides_set, prof.db_set)
+            key = _bits(prof.dt_mod_set) | _bits(prof.ides_set) << m | _bits(prof.db_set) << 2 * m
             if key in seen:
                 failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
                 break

@@ -1,11 +1,19 @@
 """The one-pass cores against the bodies they replaced (``core_oracles``),
-and the public enumerators against the private generators they wrap."""
+and the public enumerators and maps against the private cores they wrap."""
+from dataclasses import astuple
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from baxlab.bijections import _phi, _phi_inverse, phi
+from baxlab.bijections import (
+    _gamma_prime_inverse,
+    _phi,
+    _phi_inverse,
+    gamma_prime_inverse,
+    phi,
+    psi,
+)
 from baxlab.laguerre import (
     LETTERS,
     LaguerreHistory,
@@ -17,7 +25,7 @@ from baxlab.laguerre import (
     is_motzkin_word,
 )
 from baxlab.paths import PathTriple, _step_words, _tlp_words, enumerate_tlp, h_prefix
-from baxlab.perm import _is_baxter, all_permutations, stat_profile
+from baxlab.perm import _is_baxter, all_permutations, iter_baxter, stat_profile
 from core_oracles import (
     check_words_one_by_one,
     is_baxter_by_insort,
@@ -44,10 +52,9 @@ def _same_as_the_replaced_bodies(p):
     word, weights = _psi_fv(p)
     assert (word, weights) == psi_fv_by_two_passes(p), p
     assert _validity(word, weights) == validity_by_profile(word, weights), p
-    t = _outcome(_phi, word, weights)
-    assert t == _outcome(phi_by_prefix_counts, word, weights), p
-    if isinstance(t, PathTriple):
-        words = (t.bottom, t.middle, t.top)
+    words = _outcome(_phi, word, weights)
+    assert words == _outcome(lambda *h: astuple(phi_by_prefix_counts(*h)), word, weights), p
+    if len(words) == 3:  # the three words, not an (error type, message) pair
         assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words), p
 
 
@@ -138,6 +145,19 @@ def test_step_words_match_the_recursive_walk():
 def test_enumerate_tlp_wraps_the_step_words(n):
     for k in range(n):
         assert [(t.bottom, t.middle, t.top) for t in enumerate_tlp(n, k)] == list(_tlp_words(n, k))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gamma_prime_inverse_wraps_its_core(n):
+    for k in range(n):
+        for words in _tlp_words(n, k):
+            assert _gamma_prime_inverse(*words) == gamma_prime_inverse(PathTriple(*words)), words
+
+
+def test_psi_wraps_its_cores():
+    for n in range(1, 9):
+        for p in iter_baxter(n):
+            assert PathTriple(*_phi(*_psi_fv(p))) == psi(p), p
 
 
 def test_enumerate_histories_wraps_the_pairs():

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -59,6 +60,14 @@ def test_report_serialization():
     assert {c["label"] for c in obj["checks"]} == {c.label for c in report.checks}
 
 
+def test_verify_all_n8_matches_the_golden_report():
+    # verify --suite all --n 8 --json as committed, with elapsed_ms removed
+    want = json.loads((Path(__file__).parent / "data" / "verify-all-n8.json").read_text())
+    got = run_suite("all", 8).to_obj()
+    del got["elapsed_ms"]
+    assert got == want
+
+
 def test_parallel_scan_matches_serial(monkeypatch):
     serial = run_suite("roundtrip", 6, jobs=1)
     monkeypatch.setattr(harness, "_CHUNK", 64)
@@ -107,18 +116,25 @@ def test_scan_caps_the_worker_count(monkeypatch, recording_pool, jobs, cpus, wan
 
 
 def test_the_pool_streams_the_items_it_is_given(monkeypatch, recording_pool):
-    made = []
+    log = []
 
     def tracked_permutations(m):
-        made.append(all_permutations(m))
-        return made[-1]
+        for p in all_permutations(m):
+            log.append("pulled")
+            yield p
 
+    def tracked_check(p):
+        log.append("checked")
+        return real_check(p)
+
+    real_check = harness._check_fv
     monkeypatch.setattr(harness, "all_permutations", tracked_permutations)
+    monkeypatch.setattr(harness, "_check_fv", tracked_check)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert run_suite("roundtrip", 4, jobs=2).passed
-    assert len(made) == 4
-    # each level reaches imap as the generator itself, never listed first
-    assert all(any(got is it for got in recording_pool.received) for it in made)
+    # the 1 + 2 + 6 + 24 permutations of the four levels reach imap one at a
+    # time, each checked before the next is pulled: no level is listed first
+    assert log == ["pulled", "checked"] * 33
     assert not any(isinstance(got, (list, tuple)) for got in recording_pool.received)
 
 
@@ -142,8 +158,36 @@ def test_scan_stops_at_the_first_failure():
         assert harness._scan_check("x", starts_with_a_descent, all_permutations(5), imap, "{}") == want
 
 
+def does_not_start_with_one(p):
+    return f"{p} does not start with 1" if p[0] != 1 else None
+
+
+def test_a_failed_scan_stops_feeding_the_pool():
+    consumed = 0
+
+    def items():
+        nonlocal consumed
+        for p in all_permutations(9):
+            consumed += 1
+            yield p
+
+    with harness._Pool(2) as pool:
+        imap = functools.partial(pool.imap, chunksize=harness._CHUNK)
+        # item 40,321 of S_9 is the first to start with 2
+        want = Check("x", False, "(2, 1, 3, 4, 5, 6, 7, 8, 9) does not start with 1")
+        assert harness._scan_check("x", does_not_start_with_one, items(), imap, "{}") == want
+        fed = consumed
+        ones = [(1,)] * 10
+        check = harness._scan_check("y", does_not_start_with_one, ones, imap, "{}")
+        assert check == Check("y", True, "10")
+    # the feed ended near the failure, far short of the 362,880 items, and
+    # results come in order, so the next scan waited for no more of S_9
+    assert fed < 362880 // 3
+    assert consumed <= fed + 1
+
+
 def test_gamma_image_failure_names_the_first_witness(monkeypatch):
-    real_iter, real_enumerate = harness.iter_baxter, harness.enumerate_tlp
+    real_iter, real_words = harness.iter_baxter, harness._tlp_words
     monkeypatch.setattr(
         harness, "iter_baxter", lambda m: (p for p in real_iter(m) if p != (2, 3, 1))
     )
@@ -154,13 +198,27 @@ def test_gamma_image_failure_names_the_first_witness(monkeypatch):
         '"middle": {"start": [1, 1], "steps": "VH"}, "top": {"start": [0, 2], "steps": "VH"}}'
     )
     monkeypatch.setattr(harness, "iter_baxter", real_iter)
-    monkeypatch.setattr(harness, "enumerate_tlp", lambda m, k: list(real_enumerate(m, k))[k == 1 :])
+    monkeypatch.setattr(harness, "_tlp_words", lambda m, k: list(real_words(m, k))[k == 1 :])
     check = run_suite("bijection", 3).checks[-1]
     assert not check.passed
     assert check.detail == (
         'k=1: image misses 0 triples, adds 1; first: {"bottom": {"start": [2, 0], "steps": "HV"}, '
         '"middle": {"start": [1, 1], "steps": "HV"}, "top": {"start": [0, 2], "steps": "HV"}}'
     )
+
+
+def test_image_folds_name_a_repeated_permutation(monkeypatch):
+    real_iter = harness.iter_baxter
+    monkeypatch.setattr(harness, "iter_baxter", lambda m: (*real_iter(m), (2, 1)))
+    check = run_suite("bijection", 2).checks[-1]
+    assert (check.passed, check.detail) == (
+        False,
+        '[2, 1] and [2, 1] share the image {"bottom": {"start": [2, 0], "steps": "H"}, '
+        '"middle": {"start": [1, 1], "steps": "H"}, "top": {"start": [0, 2], "steps": "H"}}',
+    )
+    checks = run_suite("lemma-encodings", 2).checks
+    check = next(c for c in checks if c.label == "statistic-injectivity-n2")
+    assert (check.passed, check.detail) == (False, "[2, 1] and [2, 1] share (DT-1, IDES, DB)")
 
 
 def test_image_folds_stop_at_the_triple_enumeration_limit(monkeypatch):

@@ -143,6 +143,9 @@ def test_baxter_closed_under_inversion():
     for n in range(1, 8):
         for p in all_permutations(n):
             assert is_baxter(p) == is_baxter(inverse(p))
+    # the verify checks feed inverse(p) of each p in B_8 to gamma_prime's cores
+    for p in iter_baxter(8):
+        assert is_baxter(inverse(p)), p
 
 
 def test_classify_letters_worked_example():
