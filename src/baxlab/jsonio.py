@@ -1,21 +1,17 @@
-"""JSON forms for every value type, with validating loaders.
+"""JSON forms for every value type, and validating loaders for all but the
+(t, q)-polynomial, which is only ever written.
 
 Loaders re-run the type invariants and raise ValueError naming what was
 violated, so malformed files fail loudly rather than flow downstream.
 """
 from __future__ import annotations
 
-import re
 from typing import Any
 
 from .laguerre import LaguerreHistory
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, tlp_parameters
 from .perm import Perm, as_permutation
-from .qseries import TQPoly
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+from .qseries import TQPoly, _is_int
 
 
 def perm_to_obj(p: Perm) -> list[int]:
@@ -87,24 +83,3 @@ def history_from_obj(obj: Any) -> LaguerreHistory:
 def tqpoly_to_obj(poly: TQPoly) -> list[dict]:
     """Term list sorted by (t-degree, q-degree); coefficients as decimal strings."""
     return [{"t": a, "q": b, "c": str(c)} for a, b, c in poly.terms()]
-
-
-def tqpoly_from_obj(obj: Any) -> TQPoly:
-    """Degrees must be integers; a coefficient an integer or a decimal integer string."""
-    if not isinstance(obj, list):
-        raise ValueError("a polynomial must be an array of term objects")
-    coeffs: dict[tuple[int, int], int] = {}
-    for term in obj:
-        if not isinstance(term, dict) or set(term) != {"t", "q", "c"}:
-            raise ValueError('each term needs exactly the keys "t", "q", "c"')
-        key, c = (term["t"], term["q"]), term["c"]
-        if not all(_is_int(d) for d in key):
-            raise ValueError(f"term {term}: degrees must be integers")
-        if isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c):
-            c = int(c)
-        elif not _is_int(c):
-            raise ValueError(f"term {term}: coefficient must be an integer or a decimal string")
-        if key in coeffs:
-            raise ValueError(f"duplicate term for degrees {key}")
-        coeffs[key] = c
-    return TQPoly(coeffs)

@@ -2,6 +2,12 @@
 
 Coefficients are plain Python integers, so nothing here rounds or overflows.
 Division is always exact division with a hard failure on any remainder.
+
+The q-binomials and the closed form are computed on packed integers: a
+polynomial with non-negative coefficients below 2^bits is the int whose
+``bits``-wide slots, lowest first, hold its coefficients, so an addition or
+a product of packed ints is the sum or product of the polynomials as long as
+no slot overflows.
 """
 from __future__ import annotations
 
@@ -15,8 +21,18 @@ class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder."""
 
 
-def _clean(coeffs: Mapping) -> dict:
-    return {k: int(v) for k, v in coeffs.items() if int(v) != 0}
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _clean(coeffs: Mapping, degrees_ok) -> dict:
+    """Nonzero terms of ``coeffs``; every degree and coefficient must be an int."""
+    for key, c in coeffs.items():
+        if not degrees_ok(key):
+            raise ValueError(f"term {key!r}: degrees must be integers")
+        if not _is_int(c):
+            raise ValueError(f"term {key!r}: coefficient must be an integer, got {c!r}")
+    return {k: v for k, v in coeffs.items() if v}
 
 
 class QPoly:
@@ -25,22 +41,10 @@ class QPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c = _clean(coeffs or {})
+        c = _clean(coeffs or {}, _is_int)
         if any(d < 0 for d in c):
             raise ValueError("negative q-degrees are not allowed")
         self._c = c
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "QPoly":
-        return cls({degree: coeff})
 
     def is_zero(self) -> bool:
         return not self._c
@@ -66,18 +70,6 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        c = dict(self._c)
-        for d, v in other._c.items():
-            c[d] = c.get(d, 0) + v
-        return QPoly(c)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        c = dict(self._c)
-        for d, v in other._c.items():
-            c[d] = c.get(d, 0) - v
-        return QPoly(c)
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         c: dict[int, int] = {}
         for d1, v1 in self._c.items():
@@ -92,20 +84,20 @@ class QPoly:
         return "QPoly(" + " + ".join(parts) + ")"
 
 
+def _is_degree_pair(key: object) -> bool:
+    return isinstance(key, tuple) and len(key) == 2 and all(_is_int(d) for d in key)
+
+
 class TQPoly:
     """Sparse polynomial in t and q with integer coefficients."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        c = _clean(coeffs or {})
+        c = _clean(coeffs or {}, _is_degree_pair)
         if any(a < 0 or b < 0 for a, b in c):
             raise ValueError("negative degrees are not allowed")
         self._c = c
-
-    @classmethod
-    def zero(cls) -> "TQPoly":
-        return cls()
 
     def is_zero(self) -> bool:
         return not self._c
@@ -121,9 +113,6 @@ class TQPoly:
         """The q-polynomial multiplying t^t_deg."""
         return QPoly({b: c for (a, b), c in self._c.items() if a == t_deg})
 
-    def t_degrees(self) -> list[int]:
-        return sorted({a for a, _ in self._c})
-
     def __call__(self, t: int, q: int) -> int:
         return sum(c * t**a * q**b for (a, b), c in self._c.items())
 
@@ -133,20 +122,6 @@ class TQPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
 
-    def __add__(self, other: "TQPoly") -> "TQPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return TQPoly(c)
-
-    def __mul__(self, other: "TQPoly") -> "TQPoly":
-        c: dict[tuple[int, int], int] = {}
-        for (a1, b1), v1 in self._c.items():
-            for (a2, b2), v2 in other._c.items():
-                k = (a1 + a2, b1 + b2)
-                c[k] = c.get(k, 0) + v1 * v2
-        return TQPoly(c)
-
     def __repr__(self) -> str:
         if not self._c:
             return "TQPoly(0)"
@@ -154,14 +129,16 @@ class TQPoly:
         return "TQPoly(" + " + ".join(parts) + ")"
 
 
-def _exact_div_dict(num: dict, den: dict) -> dict:
-    """Exact long division of q-coefficient dicts over the integers."""
-    if not den:
+def exact_div(a: QPoly, b: QPoly) -> QPoly:
+    """Quotient c with a = b * c exactly; raises InexactDivisionError otherwise."""
+    if not (isinstance(a, QPoly) and isinstance(b, QPoly)):
+        raise TypeError("operands must be two QPoly")
+    if not b._c:
         raise ZeroDivisionError("division by the zero polynomial")
-    dd = max(den)
-    dc = den[dd]
+    dd = max(b._c)
+    dc = b._c[dd]
     quot: dict[int, int] = {}
-    rem = dict(num)
+    rem = dict(a._c)
     while rem:
         rd = max(rem)
         if rd < dd:
@@ -170,53 +147,54 @@ def _exact_div_dict(num: dict, den: dict) -> dict:
         if r:
             raise InexactDivisionError("leading coefficient not divisible")
         quot[rd - dd] = c
-        for d, v in den.items():
+        for d, v in b._c.items():
             nd = rd - dd + d
             nv = rem.get(nd, 0) - c * v
             if nv:
                 rem[nd] = nv
             else:
                 rem.pop(nd, None)
-    return quot
+    return QPoly(quot)
 
 
-def exact_div(a: "QPoly | TQPoly", b: "QPoly | TQPoly") -> "QPoly | TQPoly":
-    """Quotient c with a = b * c exactly; raises InexactDivisionError otherwise.
+def _pascal_row(n: int, width: int, bits: int) -> list[int]:
+    """[n, k]_q packed in ``bits``-wide slots, for k = 0..width.
 
-    For (t, q)-polynomials the divisor must be free of t; each t-slice of the
-    dividend is then divided independently.
+    Row by row through the q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k];
+    the caller picks ``bits`` so that no coefficient reaches 2^bits.
     """
-    if isinstance(a, QPoly) and isinstance(b, QPoly):
-        return QPoly(_exact_div_dict(a._c, b._c))
-    if isinstance(a, TQPoly) and isinstance(b, TQPoly):
-        if any(td != 0 for td, _ in b._c):
-            raise ValueError("the divisor of a (t, q)-polynomial must be free of t")
-        den = {qd: c for (_, qd), c in b._c.items()}
-        out: dict[tuple[int, int], int] = {}
-        for td in a.t_degrees():
-            num = {qd: c for (t, qd), c in a._c.items() if t == td}
-            for qd, c in _exact_div_dict(num, den).items():
-                out[(td, qd)] = c
-        return TQPoly(out)
-    raise TypeError("operands must be two QPoly or two TQPoly")
+    row = [1] + [0] * width
+    for m in range(1, n + 1):
+        for k in range(min(m, width), 0, -1):
+            row[k] = row[k - 1] + (row[k] << k * bits)
+    return row
+
+
+def _unpack(x: int, bits: int) -> dict[int, int]:
+    """The nonzero coefficients of the packed polynomial ``x``, by degree."""
+    s = format(x, "b")
+    out = {}
+    for d, end in enumerate(range(len(s), 0, -bits)):
+        c = int(s[max(end - bits, 0) : end], 2)
+        if c:
+            out[d] = c
+    return out
 
 
 def q_binomial(n: int, k: int) -> QPoly:
     """The Gaussian binomial [n, k]_q; zero when k falls outside 0..n.
 
-    Built by alternately multiplying a factor (1 - q^(n-k+i)) in and dividing
-    a factor (1 - q^i) out; every intermediate value is itself a q-binomial,
-    so each division is exact (and checked).
+    Built by the q-Pascal rule on packed integers, only as far as
+    min(k, n - k), since [n, k]_q = [n, n - k]_q.  Every coefficient is at
+    most binomial(n, k) <= 2^n, so slots of n + 1 bits never overflow.
 
     >>> q_binomial(4, 2).terms()
     [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)]
     """
     if n < 0 or k < 0 or k > n:
-        return QPoly.zero()
-    out = QPoly.one()
-    for i in range(1, k + 1):
-        out = exact_div(out * QPoly({0: 1, n - k + i: -1}), QPoly({0: 1, i: -1}))
-    return out
+        return QPoly()
+    width = min(k, n - k)
+    return QPoly(_unpack(_pascal_row(n, width, n + 1)[width], n + 1))
 
 
 def catalan(n: int) -> int:
@@ -255,19 +233,30 @@ def baxter_polynomial_rhs(n: int) -> TQPoly:
 
     sum_k t^k q^(3*binomial(k+1,2)) [n+1,k]_q [n+1,k+1]_q [n+1,k+2]_q,
     divided exactly by [n+1,1]_q [n+1,2]_q.
+
+    Each product and quotient is one big-int operation on packed rows.  A
+    product of three q-binomials has coefficients below 2^(3(n+1)), so the
+    slots hold them.  The quotient is exact as a polynomial when the integer
+    division leaves no remainder and the product of the divisor and quotient
+    cannot carry between slots, which holds once den(1) * quot(1) < 2^bits
+    since every coefficient is non-negative.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    den = q_binomial(n + 1, 1) * q_binomial(n + 1, 2)
+    bits = 3 * (n + 1) + 8
+    row = _pascal_row(n + 1, n + 1, bits)
+    den = row[1] * row[2]
+    den_at_1 = sum(_unpack(den, bits).values())
     out: dict[tuple[int, int], int] = {}
     for k in range(n):
-        num = (
-            QPoly.monomial(3 * comb(k + 1, 2))
-            * q_binomial(n + 1, k)
-            * q_binomial(n + 1, k + 1)
-            * q_binomial(n + 1, k + 2)
-        )
-        for d, c in exact_div(num, den).terms():
+        num = row[k] * row[k + 1] * row[k + 2] << 3 * comb(k + 1, 2) * bits
+        quot, rem = divmod(num, den)
+        if rem:
+            raise InexactDivisionError(f"t^{k}: nonzero remainder")
+        coeffs = _unpack(quot, bits)
+        if den_at_1 * sum(coeffs.values()) >> bits:
+            raise InexactDivisionError(f"t^{k}: the quotient carries between slots")
+        for d, c in coeffs.items():
             out[(k, d)] = c
     return TQPoly(out)
 

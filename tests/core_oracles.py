@@ -3,14 +3,17 @@ descent sets built one generator at a time, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map with its letter classes read in a
 separate pass, history validity against a height profile, the middle path
 of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
-path-triple word check run word by word, and the step-word walk that
-recursed once per step."""
+path-triple word check run word by word, the step-word walk that
+recursed once per step, and the q-binomials and closed form built from
+dict-product ``QPoly`` arithmetic with a checked long division."""
 from bisect import bisect_left, bisect_right, insort
+from math import comb
 
 from baxlab.bijections import MalformedMiddleError
 from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
 from baxlab.paths import PathTriple, h_prefix
 from baxlab.perm import StatProfile, descent_bottoms, descent_positions, descent_tops, inverse
+from baxlab.qseries import QPoly, TQPoly, exact_div
 
 
 def stat_profile_by_sets(p):
@@ -159,3 +162,30 @@ def step_words_by_recursion(h_count, ceiling):
             word.pop()
 
     yield from extend(0)
+
+
+def q_binomial_by_division(n, k):
+    """Multiply a factor (1 - q^(n-k+i)) in and divide (1 - q^i) out, k times;
+    every intermediate value is a q-binomial, so each division is exact."""
+    if n < 0 or k < 0 or k > n:
+        return QPoly()
+    out = QPoly({0: 1})
+    for i in range(1, k + 1):
+        out = exact_div(out * QPoly({0: 1, n - k + i: -1}), QPoly({0: 1, i: -1}))
+    return out
+
+
+def baxter_polynomial_rhs_by_products(n):
+    """The closed form, one t-slice at a time, through QPoly products."""
+    den = q_binomial_by_division(n + 1, 1) * q_binomial_by_division(n + 1, 2)
+    out = {}
+    for k in range(n):
+        num = (
+            QPoly({3 * comb(k + 1, 2): 1})
+            * q_binomial_by_division(n + 1, k)
+            * q_binomial_by_division(n + 1, k + 1)
+            * q_binomial_by_division(n + 1, k + 2)
+        )
+        for d, c in exact_div(num, den).terms():
+            out[(k, d)] = c
+    return TQPoly(out)

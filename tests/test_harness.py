@@ -508,6 +508,24 @@ def test_cli_verify_json(capsys):
     assert obj["suite"] == "polynomial"
 
 
+def test_a_failed_division_at_n2_fails_the_golden_too(monkeypatch, capsys):
+    real_rhs = harness.baxter_polynomial_rhs
+
+    def rhs(m):
+        if m == 2:
+            raise harness.InexactDivisionError("t^1: nonzero remainder")
+        return real_rhs(m)
+
+    monkeypatch.setattr(harness, "baxter_polynomial_rhs", rhs)
+    checks = {c.label: c for c in run_suite("polynomial", 3).checks}
+    failed = (False, "division failed: t^1: nonzero remainder")
+    assert (checks["tq-rhs-n2"].passed, checks["tq-rhs-n2"].detail) == failed
+    assert (checks["tq-golden-n2"].passed, checks["tq-golden-n2"].detail) == failed
+    assert checks["tq-rhs-n3"].passed
+    assert cli.main(["verify", "--suite", "polynomial", "--n", "2"]) == 1
+    assert "FAIL  tq-golden-n2" in capsys.readouterr().out
+
+
 def test_cli_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus", "--n", "3"])

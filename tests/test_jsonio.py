@@ -11,12 +11,11 @@ from baxlab.jsonio import (
     perm_to_obj,
     triple_from_obj,
     triple_to_obj,
-    tqpoly_from_obj,
     tqpoly_to_obj,
 )
 from baxlab.laguerre import LaguerreHistory
 from baxlab.paths import PathTriple
-from baxlab.qseries import TQPoly, baxter_polynomial_rhs
+from baxlab.qseries import baxter_polynomial_rhs
 
 perms = st.integers(1, 9).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -125,33 +124,3 @@ def test_tqpoly_forms():
     poly = baxter_polynomial_rhs(2)
     obj = tqpoly_to_obj(poly)
     assert obj == [{"t": 0, "q": 0, "c": "1"}, {"t": 1, "q": 3, "c": "1"}]
-    assert tqpoly_from_obj(obj) == poly
-    with pytest.raises(ValueError, match="duplicate"):
-        tqpoly_from_obj(obj + [{"t": 0, "q": 0, "c": "2"}])
-    with pytest.raises(ValueError):
-        tqpoly_from_obj([{"t": 0, "q": 0}])
-    assert tqpoly_from_obj([]) == TQPoly.zero()
-
-
-@pytest.mark.parametrize(
-    "term, what",
-    [
-        ({"t": 0, "q": 0, "c": 1.9}, "coefficient"),
-        ({"t": 0, "q": 0, "c": None}, "coefficient"),
-        ({"t": 0, "q": 0, "c": True}, "coefficient"),
-        ({"t": 0, "q": 0, "c": "1.9"}, "coefficient"),
-        ({"t": 0, "q": 0, "c": " 2"}, "coefficient"),
-        ({"t": True, "q": 0, "c": "1"}, "degrees"),
-        ({"t": "a", "q": 0, "c": "1"}, "degrees"),
-        ({"t": 0, "q": 1.0, "c": "1"}, "degrees"),
-    ],
-)
-def test_tqpoly_from_obj_rejects_non_integer_values(term, what):
-    with pytest.raises(ValueError, match=rf"^term .*: {what} must be"):
-        tqpoly_from_obj([term])
-
-
-def test_tqpoly_from_obj_accepts_integer_coefficients():
-    assert tqpoly_from_obj([{"t": 1, "q": 2, "c": -3}, {"t": 0, "q": 0, "c": "-12"}]) == TQPoly(
-        {(1, 2): -3, (0, 0): -12}
-    )

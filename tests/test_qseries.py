@@ -16,6 +16,7 @@ from baxlab.qseries import (
     q_binomial,
     tlp_count_formula,
 )
+from core_oracles import baxter_polynomial_rhs_by_products, q_binomial_by_division
 
 BAXTER_NUMBERS = [1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960, 11140560]
 CATALAN_NUMBERS = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -72,23 +73,66 @@ def qbinom_oracle(n, k):
 
 def test_qpoly_basics():
     zero = QPoly({0: 0, 3: 0})
-    assert zero.is_zero() and zero == QPoly.zero()
+    assert zero.is_zero() and zero == QPoly()
     with pytest.raises(ValueError):
         zero.degree()
     with pytest.raises(ValueError):
         QPoly({-1: 1})
     p = QPoly({0: 1, 1: 1})
     assert (p * p).terms() == [(0, 1), (1, 2), (2, 1)]
-    assert (p - p).is_zero()
     assert p(3) == 4
-    assert QPoly.monomial(2, 5).coefficient(2) == 5
+    assert QPoly({2: 5}).coefficient(2) == 5
+
+
+@pytest.mark.parametrize(
+    "coeffs, what",
+    [
+        ({0: 1.5}, "coefficient"),
+        ({1: True}, "coefficient"),
+        ({2: "3"}, "coefficient"),
+        ({0: None}, "coefficient"),
+        ({1.5: 1}, "degrees"),
+        ({True: 1}, "degrees"),
+        ({"1": 1}, "degrees"),
+    ],
+)
+def test_qpoly_rejects_non_integer_values(coeffs, what):
+    with pytest.raises(ValueError, match=rf"^term .*: {what} must be"):
+        QPoly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "term, what",
+    [
+        ({"t": 0, "q": 0, "c": 1.9}, "coefficient"),
+        ({"t": 0, "q": 0, "c": None}, "coefficient"),
+        ({"t": 0, "q": 0, "c": True}, "coefficient"),
+        ({"t": 0, "q": 0, "c": "1.9"}, "coefficient"),
+        ({"t": 0, "q": 0, "c": " 2"}, "coefficient"),
+        ({"t": True, "q": 0, "c": "1"}, "degrees"),
+        ({"t": "a", "q": 0, "c": "1"}, "degrees"),
+        ({"t": 0, "q": 1.0, "c": "1"}, "degrees"),
+    ],
+)
+def test_tqpoly_rejects_non_integer_values(term, what):
+    with pytest.raises(ValueError, match=rf"^term .*: {what} must be"):
+        TQPoly({(term["t"], term["q"]): term["c"]})
+
+
+def test_tqpoly_degrees_are_a_pair_of_non_negative_ints():
+    for key in [0, (0,), (0, 0, 0), (0, 0.0)]:
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            TQPoly({key: 1})
+    with pytest.raises(ValueError, match="negative"):
+        TQPoly({(0, -1): 1})
+    assert TQPoly({(1, 2): -3, (0, 0): 0}).terms() == [(1, 2, -3)]
 
 
 def test_q_binomial_goldens():
     assert q_binomial(3, 2).terms() == [(0, 1), (1, 1), (2, 1)]
     assert q_binomial(4, 2).terms() == [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)]
     for n in range(0, 6):
-        assert q_binomial(n, 0) == QPoly.one()
+        assert q_binomial(n, 0) == QPoly({0: 1})
     assert q_binomial(2, 5).is_zero()
     assert q_binomial(3, -1).is_zero()
 
@@ -97,6 +141,14 @@ def test_q_binomial_matches_expansion_oracle():
     for n in range(0, 9):
         for k in range(0, n + 1):
             assert dict(q_binomial(n, k).terms()) == qbinom_oracle(n, k), (n, k)
+
+
+def test_q_binomial_matches_the_division_oracle():
+    for n in range(0, 31):
+        for k in range(-1, n + 2):
+            assert q_binomial(n, k) == q_binomial_by_division(n, k), (n, k)
+    for n, k in [(200, 2), (200, 198)]:
+        assert q_binomial(n, k) == q_binomial_by_division(n, k), (n, k)
 
 
 def test_q_binomial_symmetry_and_specialisation():
@@ -117,21 +169,9 @@ def test_exact_div_goldens():
     with pytest.raises(InexactDivisionError):
         exact_div(QPoly({0: 1, 1: 1}), p)
     with pytest.raises(ZeroDivisionError):
-        exact_div(p, QPoly.zero())
+        exact_div(p, QPoly())
     with pytest.raises(TypeError):
         exact_div(p, TQPoly({(0, 0): 1}))
-
-
-def test_exact_div_tq_slicewise():
-    den = QPoly({0: 1, 1: 1})
-    tq = TQPoly({(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 3, (1, 1): 3})
-    quot = exact_div(tq, TQPoly({(0, 0): 1, (0, 1): 1}))
-    assert quot == TQPoly({(0, 0): 1, (0, 1): 1, (1, 0): 3})
-    with pytest.raises(ValueError, match="free of t"):
-        exact_div(tq, TQPoly({(1, 0): 1}))
-    with pytest.raises(InexactDivisionError):
-        exact_div(TQPoly({(0, 1): 1}), TQPoly({(0, 0): 1, (0, 1): 1}))
-    assert den.terms() == [(0, 1), (1, 1)]
 
 
 def test_baxter_numbers():
@@ -174,6 +214,32 @@ def test_baxter_polynomial_rhs_small():
     assert baxter_polynomial_rhs(2).terms() == [(0, 0, 1), (1, 3, 1)]
     for n in range(1, 11):
         assert baxter_polynomial_rhs(n)(1, 1) == baxter_number(n)
+
+
+def test_baxter_polynomial_rhs_matches_the_product_oracle():
+    for n in range(1, 19):
+        assert baxter_polynomial_rhs(n) == baxter_polynomial_rhs_by_products(n), n
+
+
+def test_baxter_polynomial_rhs_raises_on_a_remainder(monkeypatch):
+    # one more in the constant term of [5, 3]_q = [5, 2]_q: the t^3 quotient is
+    # q^18 ([5, 2]_q + 1) / [5, 2]_q, and [5, 2]_q, odd as an integer, leaves a remainder
+    real_row = qseries._pascal_row
+    monkeypatch.setattr(
+        qseries, "_pascal_row", lambda *a: [r + (k == 3) for k, r in enumerate(real_row(*a))]
+    )
+    with pytest.raises(InexactDivisionError, match="t\\^3: nonzero remainder"):
+        baxter_polynomial_rhs(4)
+
+
+def test_baxter_polynomial_rhs_raises_on_a_carry_between_slots(monkeypatch):
+    # den = 1 + q and t^1 quotient (B - 1) q^3 + q^4 with B = 2^bits: the integers
+    # divide exactly, but (1 + q) times that quotient has the coefficient B at q^4
+    bits = 3 * 3 + 8
+    row = [1, 1 + (1 << bits), 1, (2 << bits) - 1]
+    monkeypatch.setattr(qseries, "_pascal_row", lambda n, width, b: row)
+    with pytest.raises(InexactDivisionError, match="t\\^1: the quotient carries"):
+        baxter_polynomial_rhs(2)
 
 
 def test_baxter_polynomial_lhs_small():
