@@ -19,10 +19,10 @@ plain words and weight tuples, which trust their input.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add
+from operator import sub
 
 from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv, _psi_fv_inverse, _validity
-from .paths import PathTriple, h_prefix, tlp_parameters
+from .paths import PathTriple, _h_bytes, tlp_parameters
 from .perm import Perm, _is_baxter, check_permutation, inverse
 
 
@@ -129,9 +129,8 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
     return LaguerreHistory(*_phi_inverse(t.bottom, t.middle, t.top))
 
 
-_PAIR_TO_LETTER = {"VH": "U", "HV": "D", "VV": "R", "HH": "B"}
-# (bottom step, middle step) -> the weight's move to the next step
-_PAIR_TO_MOVE = {"HH": 0, "HV": 1, "VH": -1, "VV": 0}
+# the letter of code 2 * [top step is H] + [bottom step is H]
+_CODE_TO_LETTER = bytes.maketrans(b"\0\1\2\3", b"RUDB")
 
 
 def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ...]]:
@@ -147,10 +146,18 @@ def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ..
     0 or +1 after U/B, whose bottom step is H, and 0 or -1 after D/R, whose
     bottom step is V.  The weights accumulate these moves from 1 and drop
     the move past the last step.
+
+    Both run over the words as 0/1 bytes.  Read as big-endian integers,
+    2 * top + bottom adds each step's two bits within its own byte, as the
+    byte sums stay below 4, so its bytes are the letter codes; the moves are
+    the bytewise differences of bottom and middle.
     """
-    word = "".join(map(_PAIR_TO_LETTER.__getitem__, map(add, top, bottom)))
-    moves = map(_PAIR_TO_MOVE.__getitem__, map(add, bottom, middle))
-    return word, tuple(accumulate(moves, initial=1))[: len(word)]
+    n = len(bottom)
+    b = _h_bytes(bottom)
+    codes = 2 * int.from_bytes(_h_bytes(top), "big") + int.from_bytes(b, "big")
+    word = codes.to_bytes(n, "big").translate(_CODE_TO_LETTER).decode()
+    moves = map(sub, b, _h_bytes(middle))
+    return word, tuple(accumulate(moves, initial=1))[:n]
 
 
 def psi(p: Perm) -> PathTriple:
@@ -198,7 +205,7 @@ def _gamma_prime_inverse(bottom: str, middle: str, top: str) -> Perm:
     :func:`tlp_parameters`, unchecked."""
     word = ("V" + top)[:-1]
     if top.endswith("H"):
-        gap = [a - b for a, b in zip(h_prefix(middle), h_prefix(word))]
+        gap = list(accumulate(map(sub, _h_bytes(middle), _h_bytes(word)), initial=0))
         last_zero = len(gap) - 1 - gap[::-1].index(0)
         word = word[:last_zero] + "H" + word[last_zero + 1 :]
     return _psi_fv_inverse(*_phi_inverse(bottom, middle, word))

@@ -16,6 +16,11 @@ from .laguerre import psi_fv
 from .paths import _tlp_words, enumerate_tlp, expected_endpoints
 from .qseries import baxter_polynomial_rhs
 
+# The closed form's big-int division is quadratic in its operand size, so
+# poly's time and memory grow steeply in n: about 5 s and 77 MiB at n = 60,
+# 27 s and 163 MiB at n = 80 (Python 3.11, 2 CPUs).
+POLY_MAX_N = 60
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--in", dest="infile", required=True, help="triple JSON file, or - for stdin")
 
     p_poly = sub.add_parser("poly", help="print the (t, q) refinement of the Baxter count")
-    p_poly.add_argument("--n", type=int, required=True)
+    p_poly.add_argument("--n", type=int, required=True, help=f"size, at most {POLY_MAX_N}")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=harness.SUITE_NAMES, required=True)
@@ -142,6 +147,8 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    if args.n > POLY_MAX_N:
+        raise ValueError(f"poly --n is capped at {POLY_MAX_N}, got {args.n}")
     print(json.dumps(jsonio.tqpoly_to_obj(baxter_polynomial_rhs(args.n))))
     return 0
 

@@ -11,7 +11,7 @@ from typing import Any
 from .laguerre import LaguerreHistory
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, tlp_parameters
 from .perm import Perm, as_permutation
-from .qseries import TQPoly, _is_int
+from .qseries import TQPoly, _all_ints, _is_int
 
 
 def perm_to_obj(p: Perm) -> list[int]:
@@ -27,7 +27,7 @@ def perm_from_obj(obj: Any) -> Perm:
             raise ValueError("compact permutation form cannot contain 0")
         return as_permutation(int(ch) for ch in obj)
     if isinstance(obj, list):
-        if not all(_is_int(v) for v in obj):
+        if not _all_ints(obj):
             raise ValueError("permutation array must contain only integers")
         return as_permutation(obj)
     raise ValueError(f"expected a JSON array or digit string, got {type(obj).__name__}")
@@ -75,7 +75,7 @@ def history_from_obj(obj: Any) -> LaguerreHistory:
     if not isinstance(obj["word"], str):
         raise ValueError('"word" must be a string over "UDBR"')
     weights = obj["weights"]
-    if not isinstance(weights, list) or not all(_is_int(v) for v in weights):
+    if not isinstance(weights, list) or not _all_ints(weights):
         raise ValueError('"weights" must be an array of integers')
     return LaguerreHistory(obj["word"], tuple(weights))
 

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import accumulate, product, starmap
+from operator import le, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Perm, check_permutation
+from .qseries import _all_ints
 
 LETTERS = "UDBR"
 
@@ -36,7 +38,7 @@ class LaguerreHistory:
             raise MalformedHistoryError(
                 f"weights must be a sequence of integers: {self.weights!r}"
             ) from None
-        if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
+        if not _all_ints(weights):
             raise MalformedHistoryError(f"weights must be integers: {self.weights!r}")
         object.__setattr__(self, "weights", weights)
         if len(self.word) != len(self.weights):
@@ -48,21 +50,21 @@ class LaguerreHistory:
         return len(self.word)
 
 
+# translation tables that turn a word's bytes into 0/1 bytes marking its U
+# steps, and its D steps; every other byte becomes 0
+_U_BYTES = bytes(c == ord("U") for c in range(256))
+_D_BYTES = bytes(c == ord("D") for c in range(256))
+
+
 def height_profile(word: str) -> tuple[int, ...]:
     """h_i = 1 + (#U - #D among the steps before step i).
 
     >>> height_profile("URUDDBUD")
     (1, 2, 2, 3, 2, 1, 1, 2)
     """
-    out = []
-    h = 0
-    for c in word:
-        out.append(h + 1)
-        if c == "U":
-            h += 1
-        elif c == "D":
-            h -= 1
-    return tuple(out)
+    steps = word.encode("ascii", "replace")  # one byte per letter
+    moves = map(sub, steps.translate(_U_BYTES), steps.translate(_D_BYTES))
+    return tuple(accumulate(moves, initial=1))[:-1]
 
 
 def is_motzkin_word(word: str) -> bool:
@@ -186,10 +188,16 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
     named by the letter just before it; a step links letter i in after that
     letter and renames at most one placeholder, and one walk along the list
     reads the permutation.
+
+    The bounds are checked in C-level passes over the weights and heights.
+    Only a history that fails them is walked step by step, to name its
+    first failing step.
     """
-    for i, (mu, holes) in enumerate(zip(h.weights, height_profile(h.word)), start=1):
-        if not 1 <= mu <= holes:
-            raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
+    heights = height_profile(h.word)
+    if min(h.weights, default=1) < 1 or not all(map(le, h.weights, heights)):
+        for i, (mu, holes) in enumerate(zip(h.weights, heights), start=1):
+            if not 1 <= mu <= holes:
+                raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
     holes = 1 + h.word.count("U") - h.word.count("D")
     if holes != 1:
         raise MalformedHistoryError(f"{holes} placeholders remain at the end")

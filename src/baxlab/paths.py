@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, starmap
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
@@ -61,12 +62,18 @@ class PathTriple:
         return len(self.bottom) + 1
 
 
-_IS_H = {"H": 1, "V": 0}
+_H_BYTES = bytes.maketrans(b"HV", b"\1\0")
+
+
+def _h_bytes(steps: str) -> bytes:
+    """The step word as bytes, 1 for H and 0 for V, for C-level passes:
+    ``accumulate`` over them gives h(1), ..., h(len(steps))."""
+    return steps.encode().translate(_H_BYTES)
 
 
 def h_prefix(steps: str) -> list[int]:
     """h(i), the number of H steps among the first i steps, for i = 0..len(steps)."""
-    return list(accumulate(map(_IS_H.__getitem__, steps), initial=0))
+    return list(accumulate(_h_bytes(steps), initial=0))
 
 
 def is_nonintersecting(t: PathTriple) -> bool:
@@ -75,16 +82,14 @@ def is_nonintersecting(t: PathTriple) -> bool:
     The i-th vertices of the bottom, middle and top paths all lie on the
     anti-diagonal x + y = i + 2, at x = 2 + h_bot(i), 1 + h_mid(i) and
     h_top(i).  Each x moves by at most one per step, so the paths stay apart
-    exactly when h_top(i) <= h_mid(i) <= h_bot(i) for every i.
+    exactly when h_top(i) <= h_mid(i) <= h_bot(i) for every i.  The three
+    prefix counts are running sums over the words' 0/1 bytes, compared
+    pairwise by ``map(le, ...)``, with no Python-level step loop.
     """
-    hb = hm = ht = 0
-    for b, m, top in zip(t.bottom, t.middle, t.top):
-        hb += b == "H"
-        hm += m == "H"
-        ht += top == "H"
-        if not ht <= hm <= hb:
-            return False
-    return True
+    hm = list(accumulate(_h_bytes(t.middle)))
+    return all(map(le, accumulate(_h_bytes(t.top)), hm)) and all(
+        map(le, hm, accumulate(_h_bytes(t.bottom)))
+    )
 
 
 def expected_endpoints(n: int, k: int) -> tuple[Point, Point, Point]:

@@ -8,7 +8,6 @@ applies.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -189,12 +188,13 @@ def is_baxter(p: Perm) -> bool:
     Both patterns pin "41" (resp. "14") to an adjacent pair (a, b) and ask
     for an earlier letter x and a later letter y, both strictly between b and
     a, with x < y (resp. y < x).  It suffices to take x as the earlier letter
-    in the window closest to b.  One left-to-right sweep keeps the earlier
-    letters sorted: x is found by bisection, and since p holds exactly the
-    values 1..n, a later y in the window (x, a) exists iff that window holds
-    more values than earlier letters, which is a count, not a scan.  The
-    sweep makes O(n log n) comparisons; each insertion into the sorted list
-    is one memmove of at most n pointers.
+    in the window closest to b.  One left-to-right sweep keeps the set of
+    earlier letters as the bits of one int: the window is that int shifted
+    and masked, x is its lowest (resp. highest) set bit, and since p holds
+    exactly the values 1..n, a later y in the window (x, a) exists iff that
+    window holds more values than earlier letters, which is a bit count, not
+    a scan.  Each step is a constant number of big-int operations on at most
+    n bits.
 
     Raises :class:`InvalidPermutationError` unless p is a permutation of
     1..len(p).
@@ -210,27 +210,27 @@ def is_baxter(p: Perm) -> bool:
 
 def _is_baxter(p: Perm) -> bool:
     """:func:`is_baxter` of a permutation of 1..len(p), unchecked."""
-    seen: list[int] = []  # the letters before the current pair, sorted
+    seen = 0  # bit v is set iff the letter v came before the current pair
     for a, b in itertools.pairwise(p):
         if a > b:
-            # 2-41-3: x is the smallest of the cnt = at - lo earlier letters
-            # in (b, a); the other cnt - 1 are all that (x, a) holds of its
-            # a - x - 1 values before the pair, so a later y exists iff
-            # a - x > cnt
-            lo = bisect_right(seen, b)
-            at = bisect_left(seen, a, lo)
-            if at > lo and a - seen[lo] > at - lo:
+            # 2-41-3: bit j of w says whether b + 1 + j came earlier, so
+            # x = b + (w & -w).bit_length() is the smallest of the
+            # cnt = w.bit_count() earlier letters in (b, a); the other cnt - 1
+            # are all that (x, a) holds of its a - x - 1 values before the
+            # pair, so a later y exists iff a - x > cnt
+            w = (seen >> (b + 1)) & ((1 << (a - b - 1)) - 1)
+            if w and a - b - (w & -w).bit_length() > w.bit_count():
                 return False
         else:
-            # 3-14-2: x is the largest of the cnt = hi - at earlier letters
-            # in (a, b); the other cnt - 1 are all that (a, x) holds of its
-            # x - a - 1 values before the pair, so a later y exists iff
-            # x - a > cnt
-            hi = bisect_left(seen, b)
-            at = bisect_right(seen, a, 0, hi)
-            if hi > at and seen[hi - 1] - a > hi - at:
+            # 3-14-2: bit j of w says whether a + 1 + j came earlier, so
+            # x = a + w.bit_length() is the largest of the cnt = w.bit_count()
+            # earlier letters in (a, b); the other cnt - 1 are all that (a, x)
+            # holds of its x - a - 1 values before the pair, so a later y
+            # exists iff x - a > cnt
+            w = (seen >> (a + 1)) & ((1 << (b - a - 1)) - 1)
+            if w and w.bit_length() > w.bit_count():
                 return False
-        seen.insert(at, a)  # at is where a sorts in, as the values are distinct
+        seen |= 1 << a
     return True
 
 

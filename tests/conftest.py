@@ -1,6 +1,13 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from baxlab import generate_baxter
+
+# baxbench/workloads.py grows seeded Baxter permutations without baxlab; the
+# tests at large n import its random_baxter rather than keep a second copy
+sys.path.append(str(Path(__file__).resolve().parent.parent / "baxbench"))
 
 
 class BaxterCache:

@@ -1,5 +1,6 @@
 """The one-pass cores against the bodies they replaced (``core_oracles``),
 and the public enumerators and maps against the private cores they wrap."""
+import random
 from dataclasses import astuple
 from itertools import product
 
@@ -10,6 +11,8 @@ from baxlab.bijections import (
     _gamma_prime_inverse,
     _phi,
     _phi_inverse,
+    gamma,
+    gamma_prime,
     gamma_prime_inverse,
     phi,
     psi,
@@ -24,7 +27,14 @@ from baxlab.laguerre import (
     height_profile,
     is_motzkin_word,
 )
-from baxlab.paths import PathTriple, _step_words, _tlp_words, enumerate_tlp, h_prefix
+from baxlab.paths import (
+    PathTriple,
+    _step_words,
+    _tlp_words,
+    enumerate_tlp,
+    h_prefix,
+    is_nonintersecting,
+)
 from baxlab.perm import _is_baxter, all_permutations, iter_baxter, stat_profile
 from core_oracles import (
     check_words_one_by_one,
@@ -37,6 +47,8 @@ from core_oracles import (
     validity_by_profile,
 )
 from strategies import large_permutations
+from vertex_oracles import is_nonintersecting_by_vertices
+from workloads import random_baxter
 
 
 def _outcome(f, *args):
@@ -73,6 +85,26 @@ def test_cores_match_the_replaced_bodies_on_b9(bax):
 @given(large_permutations())
 def test_cores_match_the_replaced_bodies_up_to_n300(p):
     _same_as_the_replaced_bodies(p)
+
+
+@pytest.mark.parametrize("n, swaps", [(2000, 40), (20000, 6)])
+def test_bit_and_byte_kernels_match_the_oracles_at_scale(n, swaps):
+    # seeded Baxter inputs, and the same with one adjacent transposition at
+    # seeded places, which gives non-Baxter inputs with wide windows and,
+    # through the unchecked gamma, crossing triples
+    for seed in (1, 2):
+        p = random_baxter(n, random.Random(seed))
+        assert _is_baxter(p) and is_baxter_by_insort(p)
+        for t in (gamma(p), psi(p)):
+            words = (t.bottom, t.middle, t.top)
+            assert is_nonintersecting(t) and is_nonintersecting_by_vertices(t)
+            assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words)
+        assert gamma_prime_inverse(gamma_prime(p)) == p
+        for i in random.Random(seed).sample(range(n - 1), swaps):
+            q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
+            assert _is_baxter(q) == is_baxter_by_insort(q), i
+            t = gamma(q, checked=False)
+            assert is_nonintersecting(t) == is_nonintersecting_by_vertices(t), i
 
 
 def _weight_ranges(word):

@@ -14,6 +14,7 @@ from baxlab.bijections import gamma, gamma_prime, psi
 from baxlab.harness import Check, render_ascii, run_suite
 from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
 from baxlab.perm import all_permutations
+from baxlab.qseries import TQPoly
 from vertex_oracles import vertices
 
 
@@ -374,6 +375,25 @@ def test_cli_poly_rejects_sizes_below_one(n, capsys):
     assert cli.main(["poly", "--n", n]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: n must be >= 1\n"
+
+
+def test_cli_poly_rejects_sizes_above_the_cap(capsys):
+    assert cli.POLY_MAX_N == 60
+    assert cli.main(["poly", "--n", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: poly --n is capped at 60, got 61\n"
+
+
+def test_cli_poly_accepts_the_cap(monkeypatch, capsys):
+    sizes = []
+
+    def rhs(n):
+        sizes.append(n)
+        return TQPoly({(0, 0): 1})
+
+    monkeypatch.setattr(cli, "baxter_polynomial_rhs", rhs)
+    assert cli.main(["poly", "--n", "60"]) == 0
+    assert sizes == [60] and json.loads(capsys.readouterr().out) == [{"t": 0, "q": 0, "c": "1"}]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "count"])

@@ -15,6 +15,7 @@ from baxlab.jsonio import (
 )
 from baxlab.laguerre import LaguerreHistory
 from baxlab.paths import PathTriple
+from baxlab.perm import InvalidPermutationError
 from baxlab.qseries import baxter_polynomial_rhs
 
 perms = st.integers(1, 9).flatmap(
@@ -36,6 +37,28 @@ def test_perm_forms():
 def test_perm_from_obj_rejects(bad):
     with pytest.raises(ValueError):
         perm_from_obj(bad)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        ([2, True], ValueError, "permutation array must contain only integers"),
+        ([True], ValueError, "permutation array must contain only integers"),
+        ([1.0], ValueError, "permutation array must contain only integers"),
+        ([2, 1.0], ValueError, "permutation array must contain only integers"),
+        # an int subclass gets past the array check, but a permutation entry
+        # must be an int proper
+        ([_Int(2), _Int(1)], InvalidPermutationError, "permutation entries must be integers: (2, 1)"),
+    ],
+)
+def test_perm_from_obj_names_the_bad_entries(obj, error, message):
+    with pytest.raises(ValueError) as info:
+        perm_from_obj(obj)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @given(perms)
@@ -118,6 +141,19 @@ def test_history_forms():
         history_from_obj({"word": "UD", "weights": [1]})
     with pytest.raises(ValueError):
         history_from_obj({"word": "UD", "weights": [1, "x"]})
+
+
+def test_history_from_obj_accepts_int_subclass_weights():
+    h = history_from_obj({"word": "UD", "weights": [_Int(1), _Int(2)]})
+    assert h == LaguerreHistory("UD", (1, 2))
+
+
+@pytest.mark.parametrize("weights", [[True, 1], [1, True], [1.0, 1], [1, 1.0]])
+def test_history_from_obj_rejects_bool_and_float_weights(weights):
+    with pytest.raises(ValueError) as info:
+        history_from_obj({"word": "UD", "weights": weights})
+    assert type(info.value) is ValueError
+    assert str(info.value) == '"weights" must be an array of integers'
 
 
 def test_tqpoly_forms():

@@ -68,6 +68,8 @@ def test_height_profile_golden():
     assert height_profile("URUDDBUD") == (1, 2, 2, 3, 2, 1, 1, 2)
     assert height_profile("") == ()
     assert height_profile("UD") == (1, 2)
+    # letters other than U and D, ASCII or not, leave the height alone
+    assert height_profile("XUé D") == (1, 1, 2, 2, 2)
 
 
 def test_is_motzkin_word():
@@ -105,6 +107,74 @@ def test_psi_fv_inverse_rejects_malformed():
         psi_fv_inverse(LaguerreHistory("UD", (2, 1)))  # weight exceeds placeholders
     with pytest.raises(MalformedHistoryError):
         psi_fv_inverse(LaguerreHistory("U", (1,)))  # two placeholders remain
+
+
+# EX9_HISTORY has heights (1, 2, 2, 3, 2, 1, 1, 2); each case changes one
+# weight, and the message is the one the step-by-step check gave
+@pytest.mark.parametrize(
+    "step, weight, message",
+    [
+        (1, 0, "step 1: weight 0 but only 1 placeholders"),
+        (4, 0, "step 4: weight 0 but only 3 placeholders"),
+        (8, 0, "step 8: weight 0 but only 2 placeholders"),
+        (1, -1, "step 1: weight -1 but only 1 placeholders"),
+        (4, -2, "step 4: weight -2 but only 3 placeholders"),
+        (8, -7, "step 8: weight -7 but only 2 placeholders"),
+        (1, 2, "step 1: weight 2 but only 1 placeholders"),
+        (4, 4, "step 4: weight 4 but only 3 placeholders"),
+        (8, 3, "step 8: weight 3 but only 2 placeholders"),
+    ],
+)
+def test_psi_fv_inverse_names_the_first_step_out_of_bounds(step, weight, message):
+    weights = list(EX9_HISTORY.weights)
+    weights[step - 1] = weight
+    with pytest.raises(MalformedHistoryError) as info:
+        psi_fv_inverse(LaguerreHistory(EX9_HISTORY.word, tuple(weights)))
+    assert str(info.value) == message
+
+
+def test_psi_fv_inverse_names_the_earliest_of_several_bad_steps():
+    with pytest.raises(MalformedHistoryError) as info:
+        psi_fv_inverse(LaguerreHistory("URUDDBUD", (1, 2, 3, 0, 1, 1, 1, 9)))
+    assert str(info.value) == "step 3: weight 3 but only 2 placeholders"
+
+
+@pytest.mark.parametrize(
+    "word, weights, message",
+    [
+        ("UR", (1, 2), "2 placeholders remain at the end"),
+        ("URU", (1, 2, 2), "3 placeholders remain at the end"),
+        ("UD" * 3 + "U", (1, 2) * 3 + (1,), "2 placeholders remain at the end"),
+    ],
+)
+def test_psi_fv_inverse_names_the_placeholders_left(word, weights, message):
+    with pytest.raises(MalformedHistoryError) as info:
+        psi_fv_inverse(LaguerreHistory(word, weights))
+    assert str(info.value) == message
+
+
+class _Int(int):
+    pass
+
+
+def test_history_accepts_int_subclass_weights():
+    h = LaguerreHistory("UD", (_Int(1), _Int(2)))
+    assert h.weights == (1, 2) and psi_fv_inverse(h) == (3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((True, 1), "weights must be integers: (True, 1)"),
+        ((1, True), "weights must be integers: (1, True)"),
+        ((1.0, 1), "weights must be integers: (1.0, 1)"),
+        ((1, 1.0), "weights must be integers: (1, 1.0)"),
+    ],
+)
+def test_history_rejects_bool_and_float_weights_by_name(weights, message):
+    with pytest.raises(MalformedHistoryError) as info:
+        LaguerreHistory("UD", weights)
+    assert str(info.value) == message
 
 
 def test_round_trip_exhaustive():
