@@ -10,8 +10,8 @@ from typing import Any
 
 from .laguerre import LaguerreHistory
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, tlp_parameters
-from .perm import Perm, as_permutation
-from .qseries import TQPoly, _all_ints, _is_int
+from .perm import Perm, _all_ints, _is_int, as_permutation
+from .qseries import TQPoly
 
 
 def perm_to_obj(p: Perm) -> list[int]:
@@ -19,16 +19,14 @@ def perm_to_obj(p: Perm) -> list[int]:
 
 
 def perm_from_obj(obj: Any) -> Perm:
-    """Accept a list of integers, or a digit string for n <= 9."""
+    """Accept a list of integers, or a string of the ASCII digits 1-9 for n <= 9."""
     if isinstance(obj, str):
-        if not obj or not obj.isdigit():
+        if not (obj.isascii() and obj.isdigit()):
             raise ValueError(f"compact permutation form must be digits 1-9: {obj!r}")
         if "0" in obj:
             raise ValueError("compact permutation form cannot contain 0")
         return as_permutation(int(ch) for ch in obj)
     if isinstance(obj, list):
-        if not _all_ints(obj):
-            raise ValueError("permutation array must contain only integers")
         return as_permutation(obj)
     raise ValueError(f"expected a JSON array or digit string, got {type(obj).__name__}")
 

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from enum import Enum
 from itertools import accumulate, product, starmap
 from operator import le, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .perm import Perm, check_permutation
-from .qseries import _all_ints
+from .perm import Perm, _all_ints, check_permutation
 
 LETTERS = "UDBR"
 
@@ -167,6 +167,37 @@ def _psi_fv(p: Perm) -> tuple[str, tuple[int, ...]]:
             letter[v] = "DR"[right > v]
         left = v
     return "".join(letter[1:n]), tuple(weight[1:n])
+
+
+class LetterClass(Enum):
+    VALLEY = "valley"
+    PEAK = "peak"
+    DOUBLE_DESCENT = "double_descent"
+    DOUBLE_ASCENT = "double_ascent"
+
+
+_LETTER_CLASSES = {
+    "U": LetterClass.VALLEY,
+    "D": LetterClass.PEAK,
+    "B": LetterClass.DOUBLE_DESCENT,
+    "R": LetterClass.DOUBLE_ASCENT,
+}
+
+
+def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
+    """Class of each letter i in [n-1] from the neighbours of its position.
+
+    Entry i-1 describes letter i; the largest letter n is excluded.  With
+    pi_0 = pi_{n+1} = 0, letter i is a valley if both neighbours are larger,
+    a peak if both are smaller (zero counts as smaller), and a double
+    descent/ascent if it is passed downwards/upwards.  The rule lives in the
+    sweep of :func:`psi_fv`, whose word spells the classes as U, D, B and R.
+
+    Raises :class:`~baxlab.perm.InvalidPermutationError` unless p is a
+    permutation of 1..len(p).
+    """
+    check_permutation(p)
+    return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(p)[0]))
 
 
 def psi_fv_inverse(h: LaguerreHistory) -> Perm:

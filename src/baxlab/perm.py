@@ -1,16 +1,14 @@
 """Permutations in one-line notation and their descent-based statistics.
 
 A permutation of [n] = {1, ..., n} is a tuple of the values pi_1, ..., pi_n.
-Positions and values are both 1-based in every public set.  Wherever a letter
-is classified by its neighbours, the boundary convention pi_0 = pi_{n+1} = 0
-applies.
+Positions and values are both 1-based in every public set.  This is the
+bottom layer of the package: it imports no other baxlab module.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -44,6 +42,16 @@ def check_permutation(p: Perm) -> None:
         raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {p!r}")
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _all_ints(xs: Sequence[object]) -> bool:
+    """True iff every entry passes :func:`_is_int`; a C-level pass over the
+    exact types settles the common all-``int`` case first."""
+    return {int}.issuperset(map(type, xs)) or all(map(_is_int, xs))
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -63,21 +71,6 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p, start=1):
         q[v - 1] = i
     return tuple(q)
-
-
-def descent_positions(p: Perm) -> frozenset[int]:
-    """Positions i in [n-1] with p_i > p_{i+1}."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def descent_tops(p: Perm) -> frozenset[int]:
-    """The larger value p_i of each descent."""
-    return frozenset(p[i - 1] for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def descent_bottoms(p: Perm) -> frozenset[int]:
-    """The smaller value p_{i+1} of each descent."""
-    return frozenset(p[i] for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
 @dataclass(frozen=True)
@@ -148,40 +141,6 @@ def _stat_profile(p: Perm) -> StatProfile:
     )
 
 
-class LetterClass(Enum):
-    VALLEY = "valley"
-    PEAK = "peak"
-    DOUBLE_DESCENT = "double_descent"
-    DOUBLE_ASCENT = "double_ascent"
-
-
-_LETTER_CLASSES = {
-    "U": LetterClass.VALLEY,
-    "D": LetterClass.PEAK,
-    "B": LetterClass.DOUBLE_DESCENT,
-    "R": LetterClass.DOUBLE_ASCENT,
-}
-
-
-def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
-    """Class of each letter i in [n-1] from the neighbours of its position.
-
-    Entry i-1 describes letter i; the largest letter n is excluded.  With
-    pi_0 = pi_{n+1} = 0, letter i is a valley if both neighbours are larger,
-    a peak if both are smaller (zero counts as smaller), and a double
-    descent/ascent if it is passed downwards/upwards.  The rule lives in the
-    sweep of :func:`~baxlab.laguerre.psi_fv`, whose word spells the classes
-    as U, D, B and R.
-
-    Raises :class:`InvalidPermutationError` unless p is a permutation of
-    1..len(p).
-    """
-    from .laguerre import _psi_fv  # laguerre imports this module
-
-    check_permutation(p)
-    return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(p)[0]))
-
-
 def is_baxter(p: Perm) -> bool:
     """Whether p avoids the vincular patterns 2-41-3 and 3-14-2.
 
@@ -234,56 +193,35 @@ def _is_baxter(p: Perm) -> bool:
     return True
 
 
-def is_baxter_bruteforce(p: Perm) -> bool:
-    """Quadruple-loop transcription of the pattern definition.
-
-    Kept as a differential-testing oracle for :func:`is_baxter`; do not use
-    it on anything large.
-    """
-    n = len(p)
-    for j in range(n - 1):
-        for i in range(j):
-            for k in range(j + 2, n):
-                if p[j + 1] < p[i] < p[k] < p[j]:
-                    return False
-                if p[j] < p[k] < p[i] < p[j + 1]:
-                    return False
-    return True
-
-
-def left_to_right_maxima(p: Perm) -> tuple[int, ...]:
-    """Positions of the letters larger than everything before them."""
-    out = []
-    seen = 0
-    for i, v in enumerate(p, start=1):
-        if v > seen:
-            out.append(i)
-            seen = v
-    return tuple(out)
-
-
-def right_to_left_maxima(p: Perm) -> tuple[int, ...]:
-    """Positions of the letters larger than everything after them."""
-    out = []
-    seen = 0
-    for i in range(len(p), 0, -1):
-        if p[i - 1] > seen:
-            out.append(i)
-            seen = p[i - 1]
-    return tuple(sorted(out))
-
-
 def insertion_slots(p: Perm) -> tuple[int, ...]:
     """1-based positions where the next maximum may be inserted.
 
     Allowed slots sit immediately before a left-to-right maximum or
-    immediately after a right-to-left maximum.  The two slot families are
-    disjoint: a slot between p_{i} and p_{i+1} would need p_i to beat every
-    later letter and p_{i+1} to beat every earlier one at once.
+    immediately after a right-to-left maximum.  The letter n is the last
+    left-to-right maximum and the first right-to-left one, so a forward scan
+    up to n and a backward scan down to n give the two families, each in
+    order and the first wholly left of the second.
     """
-    slots = [j for j in left_to_right_maxima(p)]
-    slots += [i + 1 for i in right_to_left_maxima(p)]
-    return tuple(sorted(slots))
+    n = len(p)
+    slots = []
+    top = 0
+    for j, v in enumerate(p, start=1):
+        if v > top:
+            slots.append(j)
+            if v == n:
+                break
+            top = v
+    after = []
+    top = 0
+    for i in range(n, 0, -1):
+        v = p[i - 1]
+        if v > top:
+            after.append(i + 1)
+            if v == n:
+                break
+            top = v
+    slots += reversed(after)
+    return tuple(slots)
 
 
 def iter_baxter(n: int) -> Iterator[Perm]:
@@ -331,9 +269,10 @@ def shape_flags(p: Perm) -> ShapeFlags:
     rule: every step descends exactly when its left letter is even.  For
     n = 1 there is nothing to compare, so all three flags are vacuously true.
     """
-    n = len(p)
-    des = descent_positions(p)
-    evens = frozenset(range(2, n, 2))
-    odds = frozenset(range(1, n, 2))
-    genocchi = all((p[i] > p[i + 1]) == (p[i] % 2 == 0) for i in range(n - 1))
-    return ShapeFlags(des == evens, des == odds, genocchi)
+    down = [a > b for a, b in itertools.pairwise(p)]  # entry i-1: is i a descent?
+    odd, even = down[::2], down[1::2]
+    return ShapeFlags(
+        not any(odd) and all(even),
+        all(odd) and not any(even),
+        down == [a % 2 == 0 for a in p[:-1]],
+    )

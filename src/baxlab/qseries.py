@@ -12,23 +12,13 @@ no slot overflows.
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .perm import _stat_profile, iter_baxter
+from .perm import _is_int, _stat_profile, iter_baxter
 
 
 class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder."""
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _all_ints(xs: Sequence[object]) -> bool:
-    """True iff every entry passes :func:`_is_int`; a C-level pass over the
-    exact types settles the common all-``int`` case first."""
-    return {int}.issuperset(map(type, xs)) or all(map(_is_int, xs))
 
 
 def _clean(coeffs: Mapping, degrees_ok) -> dict:

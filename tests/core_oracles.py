@@ -1,5 +1,6 @@
 """The bodies that the fused one-pass cores replaced, kept as test oracles:
-descent sets built one generator at a time, the Baxter sweep that bisects
+descent sets built one generator at a time, each by its own helper here so
+that no oracle calls the descent pass it checks, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map with its letter classes read in a
 separate pass, history validity against a height profile, the middle path
 of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
@@ -12,8 +13,23 @@ from math import comb
 from baxlab.bijections import MalformedMiddleError
 from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
 from baxlab.paths import PathTriple, h_prefix
-from baxlab.perm import StatProfile, descent_bottoms, descent_positions, descent_tops, inverse
+from baxlab.perm import StatProfile, inverse
 from baxlab.qseries import QPoly, TQPoly, exact_div
+
+
+def descent_positions(p):
+    """Positions i in [n-1] with p_i > p_{i+1}."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def descent_tops(p):
+    """The larger value p_i of each descent."""
+    return frozenset(p[i - 1] for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def descent_bottoms(p):
+    """The smaller value p_{i+1} of each descent."""
+    return frozenset(p[i] for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
 def stat_profile_by_sets(p):

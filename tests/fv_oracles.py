@@ -1,9 +1,9 @@
 """The quadratic cores that the sorted-prefix sweeps and the placeholder tree
 replaced, kept as test oracles: the Baxter test by prefix and suffix scans,
 and the Françon-Viennot map and its inverse by rescanning the word; also the
-letter classes read off a position table, as ``classify_letters`` once did."""
-from baxlab.laguerre import LaguerreHistory, MalformedHistoryError
-from baxlab.perm import LetterClass
+letter classes read off a position table, as ``classify_letters`` once did,
+and the Baxter pattern definition itself as a quadruple loop."""
+from baxlab.laguerre import LaguerreHistory, LetterClass, MalformedHistoryError
 
 _CLASS_TO_LETTER = {"valley": "U", "peak": "D", "double_descent": "B", "double_ascent": "R"}
 
@@ -26,6 +26,21 @@ def classify_letters_by_position(p):
         else:
             out.append(LetterClass.DOUBLE_ASCENT)
     return tuple(out)
+
+
+def is_baxter_bruteforce(p):
+    """Quadruple-loop transcription of the pattern definition: no earlier x
+    and later y around an adjacent pair with 2-41-3 or 3-14-2 order.  O(n^4),
+    so only for small n."""
+    n = len(p)
+    for j in range(n - 1):
+        for i in range(j):
+            for k in range(j + 2, n):
+                if p[j + 1] < p[i] < p[k] < p[j]:
+                    return False
+                if p[j] < p[k] < p[i] < p[j + 1]:
+                    return False
+    return True
 
 
 def is_baxter_by_scan(p):

@@ -46,13 +46,16 @@ class _Int(int):
 @pytest.mark.parametrize(
     "obj, error, message",
     [
-        ([2, True], ValueError, "permutation array must contain only integers"),
-        ([True], ValueError, "permutation array must contain only integers"),
-        ([1.0], ValueError, "permutation array must contain only integers"),
-        ([2, 1.0], ValueError, "permutation array must contain only integers"),
-        # an int subclass gets past the array check, but a permutation entry
-        # must be an int proper
+        ([2, True], InvalidPermutationError, "permutation entries must be integers: (2, True)"),
+        ([True], InvalidPermutationError, "permutation entries must be integers: (True,)"),
+        ([1.0], InvalidPermutationError, "permutation entries must be integers: (1.0,)"),
+        ([2, 1.0], InvalidPermutationError, "permutation entries must be integers: (2, 1.0)"),
+        # check_permutation alone judges the entries, and it wants ints proper
         ([_Int(2), _Int(1)], InvalidPermutationError, "permutation entries must be integers: (2, 1)"),
+        # str.isdigit accepts other scripts' digits; int() reads some of them
+        ("\u0662\u0661", ValueError, "compact permutation form must be digits 1-9: '\u0662\u0661'"),
+        ("\u00b2\u00b9", ValueError, "compact permutation form must be digits 1-9: '\u00b2\u00b9'"),
+        ("102", ValueError, "compact permutation form cannot contain 0"),
     ],
 )
 def test_perm_from_obj_names_the_bad_entries(obj, error, message):

@@ -16,14 +16,14 @@ from baxlab.laguerre import (
     psi_fv_inverse,
     validate,
 )
-from baxlab.perm import (
-    all_permutations,
-    is_baxter,
-    is_baxter_bruteforce,
-    iter_baxter,
-)
+from baxlab.perm import all_permutations, is_baxter, iter_baxter
 from baxlab.qseries import baxter_number
-from fv_oracles import is_baxter_by_scan, psi_fv_by_scan, psi_fv_inverse_by_rescan
+from fv_oracles import (
+    is_baxter_bruteforce,
+    is_baxter_by_scan,
+    psi_fv_by_scan,
+    psi_fv_inverse_by_rescan,
+)
 from strategies import large_permutations
 
 EX9_HISTORY = LaguerreHistory("URUDDBUD", (1, 2, 2, 2, 1, 1, 1, 2))

@@ -2,27 +2,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baxlab.laguerre import LetterClass, classify_letters
 from baxlab.perm import (
     InvalidPermutationError,
-    LetterClass,
     all_permutations,
     as_permutation,
-    classify_letters,
-    descent_bottoms,
-    descent_positions,
-    descent_tops,
     generate_baxter,
     identity,
     insertion_slots,
     inverse,
     is_baxter,
-    is_baxter_bruteforce,
     iter_baxter,
     shape_flags,
     stat_profile,
 )
 from bfs_oracle import generate_baxter_bfs
-from fv_oracles import classify_letters_by_position
+from core_oracles import descent_bottoms, descent_positions, descent_tops
+from fv_oracles import classify_letters_by_position, is_baxter_bruteforce
 
 EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
 
@@ -244,6 +240,17 @@ def test_insertion_slots_disjoint_families():
             slots = insertion_slots(p)
             assert len(set(slots)) == len(slots)
             assert slots == tuple(sorted(slots))
+
+
+def test_insertion_slots_are_the_pattern_avoiding_insertions():
+    # the generating tree's rule against the definition: slot j is allowed
+    # iff inserting n + 1 before position j leaves a Baxter permutation
+    for n in range(1, 8):
+        for p in iter_baxter(n):
+            want = tuple(
+                j for j in range(1, n + 2) if is_baxter_bruteforce(p[: j - 1] + (n + 1,) + p[j - 1 :])
+            )
+            assert insertion_slots(p) == want, p
 
 
 def test_shape_flags_known_cases():

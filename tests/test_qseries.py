@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from baxlab import qseries
-from baxlab.perm import all_permutations, is_baxter_bruteforce, stat_profile
+from baxlab.perm import all_permutations, stat_profile
 from baxlab.qseries import (
     InexactDivisionError,
     QPoly,
@@ -17,6 +17,7 @@ from baxlab.qseries import (
     tlp_count_formula,
 )
 from core_oracles import baxter_polynomial_rhs_by_products, q_binomial_by_division
+from fv_oracles import is_baxter_bruteforce
 
 BAXTER_NUMBERS = [1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960, 11140560]
 CATALAN_NUMBERS = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]

@@ -33,3 +33,42 @@ def test_every_name_the_benchmark_traces_exists():
         if not hasattr(importlib.import_module(f"baxlab.{module}"), name)
     ]
     assert traced and missing == []
+
+
+def _package_trees():
+    root = Path(baxlab.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))}
+
+
+def _baxlab_imports(tree):
+    """The baxlab modules that a module imports anywhere in its body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found.update(m.partition(".")[2] or "baxlab" for m in modules if m.split(".")[0] == "baxlab")
+    return found
+
+
+def test_perm_is_the_bottom_layer():
+    # every other module may build on perm, so perm builds on none of them;
+    # paths stands beside it, and laguerre sits directly on top of it
+    imports = {name: _baxlab_imports(tree) for name, tree in _package_trees().items()}
+    assert imports["perm"] == set()
+    assert imports["paths"] == set()
+    assert imports["laguerre"] == {"perm"}
+
+
+def test_no_import_statement_inside_a_function():
+    # a function-level import hides a dependency, usually a cycle
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
