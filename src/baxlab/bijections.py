@@ -5,13 +5,14 @@ inverse algorithms:
 
 * ``gamma``        bottom/middle/top encode IDB / DES / (IDT - 1)
 * ``gamma_prime``  bottom/middle/top encode DB / IDES / (DT - 1)
-* ``psi``          bottom/middle/top encode DB / IDES / (DT u {p_n}) - {n},
-                   obtained by composing ``psi_fv`` with the path builder
-                   ``phi``.
+* ``psi``          bottom/middle/top encode DB / IDES / (DT u {p_n}) - {n}
 
-``gamma_prime`` and ``psi`` always agree on the bottom and middle paths; the
-inverse of ``gamma_prime`` works by rewriting the top path into ``psi`` form
-and inverting that as ``psi_inverse`` does.
+``gamma_prime`` and ``psi`` always agree on the bottom and middle paths, so
+``psi`` reads its triple off the same descent pass as ``gamma_prime`` and
+rewrites the top word; that ``psi`` equals ``psi_fv`` followed by the path
+builder ``phi`` is the paper's lemma, which ``verify`` checks.  The inverse
+of ``gamma_prime`` rewrites the top path the other way, into ``psi`` form,
+and inverts that as ``psi_inverse`` does.
 
 Each public map checks its input once and then runs private cores over
 plain words and weight tuples, which trust their input.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import sub
 
-from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv, _psi_fv_inverse, _validity
+from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv_inverse, _validity
 from .paths import PathTriple, _h_bytes, tlp_parameters
 from .perm import Perm, _is_baxter, check_permutation, inverse
 
@@ -161,11 +162,31 @@ def _phi_inverse(bottom: str, middle: str, top: str) -> tuple[str, tuple[int, ..
 
 
 def psi(p: Perm) -> PathTriple:
-    """Triple encoding (DB, IDES, (DT u {p_n}) - {n}); Baxter input only."""
+    """Triple encoding (DB, IDES, (DT u {p_n}) - {n}); Baxter input only.
+
+    The words are read off the descent sets; the lemma that they equal
+    ``phi`` of ``psi_fv(p)`` is what ``verify --suite lemma-encodings`` checks.
+    """
     check_permutation(p)
     if not _is_baxter(p):
         raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
-    return PathTriple(*_phi(*_psi_fv(p)))
+    return PathTriple(*_psi_words(p, inverse(p)))
+
+
+def _psi_words(p: Perm, q: Perm) -> tuple[str, str, str]:
+    """The DB, IDES and (DT u {p_n}) - {n} step words of p, given q = inverse(p).
+
+    The bottom and middle words are those of ``gamma_prime``.  Its top word
+    puts an H at step a - 1 for each descent top a; delayed by one step it
+    marks DT - {n}, and p_n, never a descent top, is added unless it is n.
+    This is the rewrite of :func:`gamma_prime_inverse` run forwards.
+    """
+    bottom, middle, top = _gamma_words(q, p)
+    top = ("V" + top)[:-1]
+    last = p[-1]
+    if last != len(p):
+        top = top[: last - 1] + "H" + top[last:]
+    return bottom, middle, top
 
 
 def psi_inverse(t: PathTriple) -> Perm:

@@ -30,8 +30,9 @@ class LaguerreHistory:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.word, str) or self.word.strip(LETTERS):
-            raise ValueError(f"word must be over {LETTERS!r}: {self.word!r}")
+        word = self.word
+        if not isinstance(word, str) or sum(map(word.count, LETTERS)) != len(word):
+            raise ValueError(f"word must be over {LETTERS!r}: {word!r}")
         try:
             weights = tuple(self.weights)
         except TypeError:
@@ -218,7 +219,9 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
     virtual letter 0.  Placeholders are never adjacent, so each open one is
     named by the letter just before it; a step links letter i in after that
     letter and renames at most one placeholder, and one walk along the list
-    reads the permutation.
+    reads the permutation.  The names are listed right to left, so the
+    mu_i-th placeholder is entry h_i - mu_i of that list, and since weights
+    stay small each insertion or deletion moves only its last few entries.
 
     The bounds are checked in C-level passes over the weights and heights.
     Only a history that fails them is walked step by step, to name its
@@ -241,16 +244,20 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
     :func:`validate` does), unchecked."""
     n = len(word) + 1
     after = [0] * (n + 1)  # after[v]: the letter following v, 0 at the end
-    holes = [0]  # the open placeholders, each named by the letter before it
+    holes = [0]  # the open placeholders right to left, each named by the letter before it
+    h = 1  # len(holes), the height before step i
     for i, (c, mu) in enumerate(zip(word, weights), start=1):
-        v = holes[mu - 1]
+        j = h - mu  # the mu-th placeholder from the left
+        v = holes[j]
         after[i], after[v] = after[v], i
         if c == "U":
-            holes.insert(mu, i)
+            holes.insert(j, i)
+            h += 1
         elif c == "R":
-            holes[mu - 1] = i
+            holes[j] = i
         elif c == "D":
-            del holes[mu - 1]
+            del holes[j]
+            h -= 1
     v = holes[0]
     after[n], after[v] = after[v], n
     out = [0] * n

@@ -41,15 +41,9 @@ class PathTriple:
     top: str
 
     def __post_init__(self) -> None:
-        words = (self.bottom, self.middle, self.top)
-        try:
-            bad = "".join(words).strip("HV")
-        except TypeError:  # some word is not a str
-            bad = True
-        if bad:
-            for steps in words:
-                if not isinstance(steps, str) or steps.strip("HV"):
-                    raise ValueError(f"steps must be a word over 'HV': {steps!r}")
+        for steps in (self.bottom, self.middle, self.top):
+            if not isinstance(steps, str) or steps.count("H") + steps.count("V") != len(steps):
+                raise ValueError(f"steps must be a word over 'HV': {steps!r}")
         if not (len(self.bottom) == len(self.middle) == len(self.top)):
             raise ValueError(
                 "paths must have equal lengths, got "

@@ -7,6 +7,7 @@ bottom layer of the package: it imports no other baxlab module.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -32,14 +33,31 @@ def check_permutation(p: Perm) -> None:
     """Raise unless p is non-empty and holds exactly the integers 1..len(p).
 
     Every entry must be an ``int`` proper: ``True`` and ``1.0`` compare equal
-    to 1 but are not permutation entries.
+    to 1 but are not permutation entries.  The messages show p as
+    ``reprlib.repr`` does, its first six entries, and name the first bad
+    entry when that cuts p short.
     """
     if not p:
         raise InvalidPermutationError("a permutation must have length >= 1")
     if not {int}.issuperset(map(type, p)):
-        raise InvalidPermutationError(f"permutation entries must be integers: {p!r}")
+        bad = next(i for i, v in enumerate(p) if type(v) is not int)
+        raise InvalidPermutationError(f"permutation entries must be integers: {_shown(p, bad)}")
     if sorted(p) != list(range(1, len(p) + 1)):
-        raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {p!r}")
+        seen: set[int] = set()
+        for bad, v in enumerate(p):  # stop at the first entry out of range or repeated
+            if not 1 <= v <= len(p) or v in seen:
+                break
+            seen.add(v)
+        raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {_shown(p, bad)}")
+
+
+def _shown(p: Perm, bad: int) -> str:
+    """p for a message: its ``reprlib.repr``, followed by the position and
+    value of its bad entry p[bad] if that repr is cut."""
+    shown = reprlib.repr(p)
+    if "..." in shown:
+        shown += f", entry {bad + 1} is {reprlib.repr(p[bad])}"
+    return shown
 
 
 def _is_int(v: object) -> bool:

@@ -4,7 +4,8 @@ that no oracle calls the descent pass it checks, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map with its letter classes read in a
 separate pass, history validity against a height profile, the middle path
 of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
-path-triple word check run word by word, the step-word walk that
+placeholder rebuild of ``psi_fv_inverse`` with its placeholders listed left
+to right, the path-triple word check run word by word, the step-word walk that
 recursed once per step, and the q-binomials and closed form built from
 dict-product ``QPoly`` arithmetic with a checked long division."""
 from bisect import bisect_left, bisect_right, insort
@@ -149,6 +150,31 @@ def phi_inverse_by_prefix_counts(bottom, middle, top):
     word = "".join(_PAIR_TO_LETTER[t + b] for t, b in zip(top, bottom))
     hb, hm = h_prefix(bottom), h_prefix(middle)
     return word, tuple([1 + b - mid for b, mid in zip(hb[:-1], hm)])
+
+
+def psi_fv_inverse_by_left_holes(word, weights):
+    """psi_fv_inverse of a history inside its bounds: the open placeholders
+    listed left to right, so that the mu-th is holes[mu - 1]."""
+    n = len(word) + 1
+    after = [0] * (n + 1)
+    holes = [0]
+    for i, (c, mu) in enumerate(zip(word, weights), start=1):
+        v = holes[mu - 1]
+        after[i], after[v] = after[v], i
+        if c == "U":
+            holes.insert(mu, i)
+        elif c == "R":
+            holes[mu - 1] = i
+        elif c == "D":
+            del holes[mu - 1]
+    v = holes[0]
+    after[n], after[v] = after[v], n
+    out = []
+    v = 0
+    for _ in range(n):
+        v = after[v]
+        out.append(v)
+    return tuple(out)
 
 
 def check_words_one_by_one(bottom, middle, top):

@@ -275,6 +275,15 @@ def test_psi_does_not_validate_the_history_it_builds(monkeypatch):
     assert psi(EX9_INV) == PSI_TRIPLE
 
 
+def test_psi_runs_neither_the_fv_sweep_nor_the_path_builder(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("psi went through psi_fv and phi")
+
+    for module, name in ((laguerre, "_psi_fv"), (bijections, "_psi_fv"), (bijections, "_phi")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    assert psi(EX9_INV) == PSI_TRIPLE
+
+
 def test_gamma_inverse_golden():
     assert gamma_inverse(GAMMA_TRIPLE) == EX9
     assert gamma_inverse(all_vertical(7)) == identity(7)

@@ -22,6 +22,7 @@ from baxlab.laguerre import (
     LaguerreHistory,
     _histories,
     _psi_fv,
+    _psi_fv_inverse,
     _validity,
     enumerate_histories,
     height_profile,
@@ -35,13 +36,14 @@ from baxlab.paths import (
     h_prefix,
     is_nonintersecting,
 )
-from baxlab.perm import _is_baxter, all_permutations, iter_baxter, stat_profile
+from baxlab.perm import _is_baxter, all_permutations, inverse, iter_baxter, stat_profile
 from core_oracles import (
     check_words_one_by_one,
     is_baxter_by_insort,
     phi_by_prefix_counts,
     phi_inverse_by_prefix_counts,
     psi_fv_by_two_passes,
+    psi_fv_inverse_by_left_holes,
     stat_profile_by_sets,
     step_words_by_recursion,
     validity_by_profile,
@@ -99,7 +101,11 @@ def test_bit_and_byte_kernels_match_the_oracles_at_scale(n, swaps):
             words = (t.bottom, t.middle, t.top)
             assert is_nonintersecting(t) and is_nonintersecting_by_vertices(t)
             assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words)
+        assert psi(p) == PathTriple(*_phi(*_psi_fv(p)))
         assert gamma_prime_inverse(gamma_prime(p)) == p
+        # the history behind the gamma triple, whose placeholders pile up high
+        history = _psi_fv(inverse(p))
+        assert _psi_fv_inverse(*history) == psi_fv_inverse_by_left_holes(*history) == inverse(p)
         for i in random.Random(seed).sample(range(n - 1), swaps):
             q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
             assert _is_baxter(q) == is_baxter_by_insort(q), i
@@ -187,7 +193,8 @@ def test_gamma_prime_inverse_wraps_its_core(n):
 
 
 def test_psi_wraps_its_cores():
-    for n in range(1, 9):
+    # the lemma: the triple read off the descent sets is phi of psi_fv
+    for n in range(1, 10):
         for p in iter_baxter(n):
             assert PathTriple(*_phi(*_psi_fv(p))) == psi(p), p
 

@@ -183,8 +183,8 @@ def test_a_failed_scan_stops_feeding_the_pool():
         assert check == Check("y", True, "10")
     # the feed ended near the failure, far short of the 362,880 items, and
     # results come in order, so the next scan waited for no more of S_9
-    assert fed < 362880 // 3
-    assert consumed <= fed + 1
+    assert fed < 362880 // 3, f"fed={fed}, consumed={consumed}"
+    assert consumed <= fed + 1, f"fed={fed}, consumed={consumed}"
 
 
 def test_gamma_image_failure_names_the_first_witness(monkeypatch):

@@ -185,6 +185,27 @@ def test_statistics_reject_words_that_are_not_permutations(fn, word, message):
         fn(word)
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        (
+            (1.5, *range(2, 100_001)),
+            "permutation entries must be integers: (1.5, 2, 3, 4, 5, 6, ...), entry 1 is 1.5",
+        ),
+        (
+            (*range(1, 100_000), 99_999),
+            "not a permutation of 1..100000: (1, 2, 3, 4, 5, 6, ...), entry 100000 is 99999",
+        ),
+        ((2, 1, 0, 3), "not a permutation of 1..4: (2, 1, 0, 3)"),
+    ],
+    ids=["float-first", "repeat-last", "uncut"],
+)
+def test_large_words_get_short_messages_naming_the_first_bad_entry(word, message):
+    with pytest.raises(InvalidPermutationError) as exc:
+        as_permutation(word)
+    assert str(exc.value) == message and len(message) < 200
+
+
 def test_letters_passed_downward_are_the_descent_bottoms():
     # the valley/double-descent letters are exactly those whose predecessor
     # in the word is larger, i.e. the descent bottoms
