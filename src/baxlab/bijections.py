@@ -19,6 +19,7 @@ plain words and weight tuples, which trust their input.
 """
 from __future__ import annotations
 
+import reprlib
 from itertools import accumulate
 from operator import sub
 
@@ -37,6 +38,13 @@ class NotInImageError(ValueError):
 
 class MalformedMiddleError(ValueError):
     """The weights do not chain into a unit-step middle path."""
+
+
+def _check_baxter(p: Perm) -> None:
+    """Raise :class:`NotBaxterError` unless the permutation p is Baxter; the
+    message shows p as ``reprlib.repr`` does, its first six entries."""
+    if not _is_baxter(p):
+        raise NotBaxterError(f"{reprlib.repr(p)} contains 2-41-3 or 3-14-2")
 
 
 def _gamma_words(p: Perm, q: Perm) -> tuple[str, str, str]:
@@ -64,18 +72,17 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     they may then intersect or carry unequal step counts.
     """
     check_permutation(p)
-    if checked and not _is_baxter(p):
-        raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
+    if checked:
+        _check_baxter(p)
     return PathTriple(*_gamma_words(p, inverse(p)))
 
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (DB, IDES, DT - 1); equals ``gamma`` of the inverse."""
     check_permutation(p)  # before inverse() indexes by value
-    q = inverse(p)
-    if checked and not _is_baxter(q):
-        raise NotBaxterError(f"{q!r} contains 2-41-3 or 3-14-2")
-    return PathTriple(*_gamma_words(q, p))
+    if checked:
+        _check_baxter(p)  # p is Baxter iff its inverse is
+    return PathTriple(*_gamma_words(inverse(p), p))
 
 
 def phi(h: LaguerreHistory) -> PathTriple:
@@ -168,8 +175,7 @@ def psi(p: Perm) -> PathTriple:
     ``phi`` of ``psi_fv(p)`` is what ``verify --suite lemma-encodings`` checks.
     """
     check_permutation(p)
-    if not _is_baxter(p):
-        raise NotBaxterError(f"{p!r} contains 2-41-3 or 3-14-2")
+    _check_baxter(p)
     return PathTriple(*_psi_words(p, inverse(p)))
 
 

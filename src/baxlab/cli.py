@@ -18,7 +18,8 @@ from .qseries import baxter_polynomial_rhs
 
 # The closed form's big-int division is quadratic in its operand size, so
 # poly's time and memory grow steeply in n: about 5 s and 77 MiB at n = 60,
-# 27 s and 163 MiB at n = 80 (Python 3.11, 2 CPUs).
+# 27 s and 163 MiB at n = 80 (Python 3.11, 2 CPUs).  verify's polynomial
+# suite builds it at every size up to its n, so verify --n shares the cap.
 POLY_MAX_N = 60
 
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=harness.SUITE_NAMES, required=True)
-    p_verify.add_argument("--n", type=int, default=8, help="size bound (default 8)")
+    p_verify.add_argument("--n", type=int, default=8, help=f"size bound, at most {POLY_MAX_N} (default 8)")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count (default 1)")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     return parser
@@ -154,6 +155,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n > POLY_MAX_N:
+        raise ValueError(f"verify --n is capped at {POLY_MAX_N}, got {args.n}")
     report = harness.run_suite(args.suite, args.n, jobs=args.jobs)
     if args.json:
         print(json.dumps(report.to_obj()))

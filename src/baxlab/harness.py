@@ -1,9 +1,9 @@
 """Verification suites over every implemented claim, plus ASCII rendering.
 
-Each suite replays a family of exhaustive checks up to a size bound ``n`` and
-returns a :class:`Report`.  Reports are deterministic: the same suite at the
-same bound produces the same checks in the same order with the same outcome,
-regardless of the worker count.
+Each suite yields a family of exhaustive checks up to a size bound ``n``,
+and :func:`run_suite` runs them into a :class:`Report`.  Reports are
+deterministic: the same suite at the same bound produces the same checks in
+the same order with the same outcome, regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
@@ -39,16 +39,6 @@ from .qseries import (
     catalan,
     q_binomial,
     tlp_count_formula,
-)
-
-SUITE_NAMES = (
-    "bijection",
-    "roundtrip",
-    "lemma-encodings",
-    "polynomial",
-    "counts",
-    "corollaries",
-    "all",
 )
 
 # Bounds above which the full-S_n or brute-polynomial checks are skipped even
@@ -216,8 +206,17 @@ _Pool = multiprocessing.get_context("spawn").Pool
 Imap = Callable[[Callable, Iterable], Iterator]
 
 
-def _scan_check(label: str, checker: Callable, items: Iterable, imap: Imap, ok_detail: str) -> Check:
-    """Stream items through checker and stop at the first failure message.
+class _Scan(NamedTuple):
+    """A check that streams items through checker; ok_detail takes the count."""
+
+    label: str
+    checker: Callable[[object], str | None]
+    items: Iterable
+    ok_detail: str
+
+
+def _scan_check(scan: _Scan, imap: Imap) -> Check:
+    """Stream the items through the checker; stop at the first failure message.
 
     On success the detail is ok_detail with the item count put in.  On a
     failure the feed ends too: a pool's task thread, which pulls the items
@@ -227,24 +226,24 @@ def _scan_check(label: str, checker: Callable, items: Iterable, imap: Imap, ok_d
     failed = False
 
     def feed() -> Iterator:
-        for item in items:
+        for item in scan.items:
             if failed:
                 return
             yield item
 
     count = 0
-    for count, msg in enumerate(imap(checker, feed()), 1):
+    for count, msg in enumerate(imap(scan.checker, feed()), 1):
         if msg is not None:
             failed = True
-            return Check(label, False, msg)
-    return Check(label, True, ok_detail.format(count))
+            return Check(scan.label, False, msg)
+    return Check(scan.label, True, scan.ok_detail.format(count))
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each yields its checks in report order, a finished Check for a fold
+# it runs itself and a _Scan for run_suite to stream
 
-def _suite_bijection(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_bijection(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         # a triple is keyed by its concatenated words: equal lengths make the
         # key injective and order it as PathTriple orders the triple
@@ -276,81 +275,57 @@ def _suite_bijection(n: int, imap: Imap) -> list[Check]:
                     )
                     break
                 total += len(enumerated)
-        checks.append(
-            Check(
-                f"gamma-image-n{m}",
-                failure is None,
-                failure or f"image is duplicate-free and exhausts all {total} triples",
-            )
+        yield Check(
+            f"gamma-image-n{m}",
+            failure is None,
+            failure or f"image is duplicate-free and exhausts all {total} triples",
         )
-    return checks
 
 
-def _suite_roundtrip(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, FULL_SCAN_LIMIT) + 1):
-        checks.append(
-            _scan_check(
-                f"fv-roundtrip-n{m}",
-                _check_fv,
-                all_permutations(m),
-                imap,
-                "round trip and history/pattern agreement on all {} permutations",
-            )
+        yield _Scan(
+            f"fv-roundtrip-n{m}",
+            _check_fv,
+            all_permutations(m),
+            "round trip and history/pattern agreement on all {} permutations",
         )
     for length in range(min(n, FULL_SCAN_LIMIT)):  # histories of length L <-> S_{L+1}
-        checks.append(
-            _scan_check(
-                f"history-roundtrip-len{length}",
-                _check_history_roundtrip,
-                _histories(length),
-                imap,
-                "all {} histories round trip",
-            )
+        yield _Scan(
+            f"history-roundtrip-len{length}",
+            _check_history_roundtrip,
+            _histories(length),
+            "all {} histories round trip",
         )
     for m in range(1, n + 1):
-        checks.append(
-            _scan_check(
-                f"gamma-prime-roundtrip-n{m}",
-                _check_gamma_prime_roundtrip,
-                iter_baxter(m),
-                imap,
-                "inverse algorithm returns all {} Baxter permutations",
-            )
+        yield _Scan(
+            f"gamma-prime-roundtrip-n{m}",
+            _check_gamma_prime_roundtrip,
+            iter_baxter(m),
+            "inverse algorithm returns all {} Baxter permutations",
         )
-        checks.append(
-            _scan_check(
-                f"psi-roundtrip-n{m}",
-                _check_psi_roundtrip,
-                iter_baxter(m),
-                imap,
-                "round trip on all {} Baxter permutations",
-            )
+        yield _Scan(
+            f"psi-roundtrip-n{m}",
+            _check_psi_roundtrip,
+            iter_baxter(m),
+            "round trip on all {} Baxter permutations",
         )
         if m <= TLP_ENUM_LIMIT:
-            checks.append(
-                _scan_check(
-                    f"tlp-roundtrip-n{m}",
-                    _check_tlp_roundtrip,
-                    (w for k in range(m) for w in _tlp_words(m, k)),
-                    imap,
-                    "all {} triples round trip through the inverse algorithm",
-                )
+            yield _Scan(
+                f"tlp-roundtrip-n{m}",
+                _check_tlp_roundtrip,
+                (w for k in range(m) for w in _tlp_words(m, k)),
+                "all {} triples round trip through the inverse algorithm",
             )
-    return checks
 
 
-def _suite_lemma_encodings(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
-        checks.append(
-            _scan_check(
-                f"psi-encodings-n{m}",
-                _check_psi_encoding,
-                iter_baxter(m),
-                imap,
-                "paths decode to (DB, IDES, DT-hat) on all {} permutations",
-            )
+        yield _Scan(
+            f"psi-encodings-n{m}",
+            _check_psi_encoding,
+            iter_baxter(m),
+            "paths decode to (DB, IDES, DT-hat) on all {} permutations",
         )
         if m > TLP_ENUM_LIMIT:
             continue
@@ -364,34 +339,27 @@ def _suite_lemma_encodings(n: int, imap: Imap) -> list[Check]:
                 failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
                 break
             seen[key] = p
-        checks.append(
-            Check(
-                f"statistic-injectivity-n{m}",
-                failure is None,
-                failure or f"all {len(seen)} statistic triples are distinct",
-            )
+        yield Check(
+            f"statistic-injectivity-n{m}",
+            failure is None,
+            failure or f"all {len(seen)} statistic triples are distinct",
         )
     for m in range(2, min(n, INSERTION_CASE_LIMIT) + 1):
-        checks.append(
-            _scan_check(
-                f"insertion-cases-n{m}",
-                _check_insertion_cases,
-                iter_baxter(m - 1),
-                imap,
-                "all growth steps match the predicted path surgery",
-            )
+        yield _Scan(
+            f"insertion-cases-n{m}",
+            _check_insertion_cases,
+            iter_baxter(m - 1),
+            "all growth steps match the predicted path surgery",
         )
-    return checks
 
 
-def _suite_polynomial(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_polynomial(n: int) -> Iterator[Check | _Scan]:
     golden = None
     for m in range(1, n + 1):
         try:
             rhs = baxter_polynomial_rhs(m)
         except InexactDivisionError as exc:
-            checks.append(Check(f"tq-rhs-n{m}", False, f"division failed: {exc}"))
+            yield Check(f"tq-rhs-n{m}", False, f"division failed: {exc}")
             if m == 2:
                 golden = Check("tq-golden-n2", False, f"division failed: {exc}")
             continue
@@ -400,12 +368,10 @@ def _suite_polynomial(n: int, imap: Imap) -> list[Check]:
             golden = Check("tq-golden-n2", ok, f"terms {rhs.terms()}")
         value = rhs(1, 1)
         want = baxter_number(m)
-        checks.append(
-            Check(
-                f"tq-rhs-n{m}",
-                value == want,
-                f"division exact; value at t=q=1 is {value}, Baxter number is {want}",
-            )
+        yield Check(
+            f"tq-rhs-n{m}",
+            value == want,
+            f"division exact; value at t=q=1 is {value}, Baxter number is {want}",
         )
         if m <= BRUTE_POLY_LIMIT:
             lhs = baxter_polynomial_lhs(m)
@@ -416,23 +382,18 @@ def _suite_polynomial(n: int, imap: Imap) -> list[Check]:
                 diff = sorted(set(lhs.terms()) ^ set(rhs.terms()))[:4]
                 detail = f"coefficient mismatch, first differing terms {diff}"
                 passed = False
-            checks.append(Check(f"tq-identity-n{m}", passed, detail))
+            yield Check(f"tq-identity-n{m}", passed, detail)
     if golden is not None:
-        checks.append(golden)
-    checks.append(
-        _scan_check(
-            f"qbinomial-n{n}",
-            _check_q_binomial,
-            ((m, k) for m in range(n + 1) for k in range(m + 1)),
-            imap,
-            f"symmetry and q->1 specialisation hold up to n={n}",
-        )
+        yield golden
+    yield _Scan(
+        f"qbinomial-n{n}",
+        _check_q_binomial,
+        ((m, k) for m in range(n + 1) for k in range(m + 1)),
+        f"symmetry and q->1 specialisation hold up to n={n}",
     )
-    return checks
 
 
-def _suite_counts(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_counts(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
         generated = sum(1 for _ in iter_baxter(m))
         formula = baxter_number(m)
@@ -442,7 +403,7 @@ def _suite_counts(n: int, imap: Imap) -> list[Check]:
             filtered = sum(1 for p in all_permutations(m) if _is_baxter(p))
             parts.append(f"filter {filtered}")
             passed = passed and filtered == generated
-        checks.append(Check(f"baxter-count-n{m}", passed, ", ".join(parts)))
+        yield Check(f"baxter-count-n{m}", passed, ", ".join(parts))
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         failure = None
         total = 0
@@ -455,20 +416,15 @@ def _suite_counts(n: int, imap: Imap) -> list[Check]:
             total += count
         if failure is None and total != baxter_number(m):
             failure = f"total {total} differs from Baxter number {baxter_number(m)}"
-        checks.append(
-            Check(
-                f"tlp-count-n{m}",
-                failure is None,
-                failure or f"all {total} triples accounted for",
-            )
+        yield Check(
+            f"tlp-count-n{m}",
+            failure is None,
+            failure or f"all {total} triples accounted for",
         )
     for m in range(1, n + 1):
         total = sum(tlp_count_formula(m, k) for k in range(m))
         want = baxter_number(m)
-        checks.append(
-            Check(f"summand-sum-n{m}", total == want, f"sum {total}, Baxter number {want}")
-        )
-    return checks
+        yield Check(f"summand-sum-n{m}", total == want, f"sum {total}, Baxter number {want}")
 
 
 _BAX6_GOLDEN = [
@@ -480,8 +436,7 @@ _BAX6_GOLDEN = [
 ]
 
 
-def _suite_corollaries(n: int, imap: Imap) -> list[Check]:
-    checks = []
+def _suite_corollaries(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
         alt = ralt = 0
         special: list[Perm] = []
@@ -492,35 +447,27 @@ def _suite_corollaries(n: int, imap: Imap) -> list[Check]:
             if flags.reverse_alternating and shape_flags(inverse(p)).genocchi:
                 special.append(p)
         want_alt = catalan(m // 2) * catalan((m + 1) // 2)
-        checks.append(
-            Check(
-                f"alt-catalan-product-n{m}",
-                alt == want_alt and ralt == want_alt,
-                f"alternating {alt}, reverse {ralt}, Catalan product {want_alt}",
-            )
+        yield Check(
+            f"alt-catalan-product-n{m}",
+            alt == want_alt and ralt == want_alt,
+            f"alternating {alt}, reverse {ralt}, Catalan product {want_alt}",
         )
         want_cg = catalan(m // 2)
-        checks.append(
-            Check(
-                f"catalan-genocchi-n{m}",
-                len(special) == want_cg,
-                f"reverse-alternating with Genocchi inverse: {len(special)}, Catalan {want_cg}",
-            )
+        yield Check(
+            f"catalan-genocchi-n{m}",
+            len(special) == want_cg,
+            f"reverse-alternating with Genocchi inverse: {len(special)}, Catalan {want_cg}",
         )
         if m == 6:
-            ok = sorted(special) == _BAX6_GOLDEN
-            checks.append(
-                Check(
-                    "bax6-golden-set",
-                    ok,
-                    "the five length-6 witnesses are "
-                    + ", ".join("".join(map(str, p)) for p in sorted(special)),
-                )
+            yield Check(
+                "bax6-golden-set",
+                sorted(special) == _BAX6_GOLDEN,
+                "the five length-6 witnesses are "
+                + ", ".join("".join(map(str, p)) for p in sorted(special)),
             )
-    return checks
 
 
-_SUITES: dict[str, Callable[[int, Imap], list[Check]]] = {
+_SUITES: dict[str, Callable[[int], Iterator[Check | _Scan]]] = {
     "bijection": _suite_bijection,
     "roundtrip": _suite_roundtrip,
     "lemma-encodings": _suite_lemma_encodings,
@@ -528,6 +475,8 @@ _SUITES: dict[str, Callable[[int, Imap], list[Check]]] = {
     "counts": _suite_counts,
     "corollaries": _suite_corollaries,
 }
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, n: int, jobs: int = 1) -> Report:
@@ -540,14 +489,18 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    names = SUITE_NAMES[:-1] if name == "all" else (name,)
+    names = _SUITES if name == "all" else (name,)
     workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
     with _Pool(workers) if workers > 1 else nullcontext() as pool:
         imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
-        checks = [check for sub in names for check in _SUITES[sub](n, imap)]
+        checks = tuple(
+            row if isinstance(row, Check) else _scan_check(row, imap)
+            for sub in names
+            for row in _SUITES[sub](n)
+        )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return Report(name, n, tuple(checks), elapsed_ms)
+    return Report(name, n, checks, elapsed_ms)
 
 
 def render_ascii(t: PathTriple) -> str:

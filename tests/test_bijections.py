@@ -70,6 +70,25 @@ def test_gamma_rejects_non_baxter():
     assert t.n == 4
 
 
+@pytest.mark.parametrize("forward", [gamma, gamma_prime, psi])
+def test_not_baxter_messages_name_the_input_whole_up_to_six_entries(forward):
+    # gamma_prime names its input, not its inverse: (3, 1, 4, 2), not (2, 4, 1, 3)
+    for n in range(4, 7):
+        for p in all_permutations(n):
+            if not is_baxter(p):
+                with pytest.raises(NotBaxterError) as exc:
+                    forward(p)
+                assert str(exc.value) == f"{p!r} contains 2-41-3 or 3-14-2"
+
+
+@pytest.mark.parametrize("forward", [gamma, gamma_prime, psi])
+def test_not_baxter_messages_are_bounded(forward):
+    with pytest.raises(NotBaxterError) as exc:
+        forward((2, 4, 1, 3, *range(5, 100001)))
+    assert len(str(exc.value)) < 200
+    assert str(exc.value) == "(2, 4, 1, 3, 5, 6, ...) contains 2-41-3 or 3-14-2"
+
+
 def gamma_by_statistics(p):
     """The former body of gamma: the IDB, DES and IDT - 1 sets of the
     statistic profile, each encoded as a step word."""

@@ -69,6 +69,13 @@ def test_verify_all_n8_matches_the_golden_report():
     assert got == want
 
 
+def test_single_suites_concatenate_to_all():
+    # verify --suite <name> run one suite at a time, in the order of "all"
+    singles = [c for name in harness.SUITE_NAMES[:-1] for c in run_suite(name, 5).checks]
+    assert singles == list(run_suite("all", 5).checks)
+    assert harness.SUITE_NAMES[-1] == "all"
+
+
 def test_parallel_scan_matches_serial(monkeypatch):
     serial = run_suite("roundtrip", 6, jobs=1)
     monkeypatch.setattr(harness, "_CHUNK", 64)
@@ -152,11 +159,12 @@ def test_scan_stops_at_the_first_failure():
             yield p
 
     want = Check("x", False, "(2, 1, 3, 4, 5) starts with a descent")
-    assert harness._scan_check("x", starts_with_a_descent, items(), map, "{}") == want
+    assert harness._scan_check(harness._Scan("x", starts_with_a_descent, items(), "{}"), map) == want
     assert len(consumed) == 25
     with harness._Pool(2) as pool:
         imap = functools.partial(pool.imap, chunksize=8)
-        assert harness._scan_check("x", starts_with_a_descent, all_permutations(5), imap, "{}") == want
+        scan = harness._Scan("x", starts_with_a_descent, all_permutations(5), "{}")
+        assert harness._scan_check(scan, imap) == want
 
 
 def does_not_start_with_one(p):
@@ -176,10 +184,10 @@ def test_a_failed_scan_stops_feeding_the_pool():
         imap = functools.partial(pool.imap, chunksize=harness._CHUNK)
         # item 40,321 of S_9 is the first to start with 2
         want = Check("x", False, "(2, 1, 3, 4, 5, 6, 7, 8, 9) does not start with 1")
-        assert harness._scan_check("x", does_not_start_with_one, items(), imap, "{}") == want
+        assert harness._scan_check(harness._Scan("x", does_not_start_with_one, items(), "{}"), imap) == want
         fed = consumed
         ones = [(1,)] * 10
-        check = harness._scan_check("y", does_not_start_with_one, ones, imap, "{}")
+        check = harness._scan_check(harness._Scan("y", does_not_start_with_one, ones, "{}"), imap)
         assert check == Check("y", True, "10")
     # the feed ended near the failure, far short of the 362,880 items, and
     # results come in order, so the next scan waited for no more of S_9
@@ -394,6 +402,26 @@ def test_cli_poly_accepts_the_cap(monkeypatch, capsys):
     monkeypatch.setattr(cli, "baxter_polynomial_rhs", rhs)
     assert cli.main(["poly", "--n", "60"]) == 0
     assert sizes == [60] and json.loads(capsys.readouterr().out) == [{"t": 0, "q": 0, "c": "1"}]
+
+
+def test_cli_verify_rejects_sizes_above_the_cap(capsys):
+    # the polynomial suite builds the closed form at every size up to n
+    assert cli.main(["verify", "--suite", "polynomial", "--n", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: verify --n is capped at 60, got 61\n"
+
+
+def test_cli_verify_accepts_the_cap(monkeypatch, capsys):
+    calls = []
+
+    def run_suite(name, n, jobs=1):
+        calls.append((name, n, jobs))
+        return harness.Report(name, n, (Check("x", True, "ok"),), 0.0)
+
+    monkeypatch.setattr(harness, "run_suite", run_suite)
+    assert cli.main(["verify", "--suite", "polynomial", "--n", "60", "--json"]) == 0
+    assert calls == [("polynomial", 60, 1)]
+    assert json.loads(capsys.readouterr().out)["n"] == 60
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "count"])
