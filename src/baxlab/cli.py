@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input or
 usage.  ``verify --jobs N`` checks with min(N, CPU count) worker processes,
-which share one pool for the whole run; the report is the same for any N.
+which share one pool for the whole run; the report is the same for any
+N >= 1.
 """
 from __future__ import annotations
 

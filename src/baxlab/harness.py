@@ -23,8 +23,8 @@ from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
+    _descents,
     _is_baxter,
-    _stat_profile,
     all_permutations,
     insertion_slots,
     inverse,
@@ -127,13 +127,15 @@ def _check_psi_roundtrip(p: Perm) -> str | None:
 
 
 def _check_psi_encoding(p: Perm) -> str | None:
-    prof = _stat_profile(p)
+    q = inverse(p)
+    _, dt, db = _descents(p)
     bottom, middle, top = _phi(*_psi_fv(p))
     got = (decode_path(bottom), decode_path(middle), decode_path(top))
-    want = (prof.db_set, prof.ides_set, prof.dt_hat_set)
+    # DB, IDES and DT-hat as perm.StatProfile defines them
+    want = (frozenset(db), frozenset(_descents(q)[0]), (frozenset(dt) | {p[-1]}) - {len(p)})
     if got != want:
         return f"psi of {_perm_json(p)} decodes to {got}, statistics say {want}"
-    if _gamma_words(inverse(p), p)[:2] != (bottom, middle):
+    if _gamma_words(q, p)[:2] != (bottom, middle):
         return f"psi and gamma_prime disagree below the top path for {_perm_json(p)}"
     return None
 
@@ -329,12 +331,13 @@ def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
         )
         if m > TLP_ENUM_LIMIT:
             continue
-        # the three subsets of 1..m-1 as bit masks m bits apart, one small int
+        # the three subsets of 1..m-1 as bit masks m bits apart, one small int;
+        # no descent top is 1, so the mask of DT - 1 is DT's shifted down one
         seen: dict[int, Perm] = {}
         failure = None
         for p in iter_baxter(m):
-            prof = _stat_profile(p)
-            key = _bits(prof.dt_mod_set) | _bits(prof.ides_set) << m | _bits(prof.db_set) << 2 * m
+            _, dt, db = _descents(p)
+            key = _bits(dt) >> 1 | _bits(_descents(inverse(p))[0]) << m | _bits(db) << 2 * m
             if key in seen:
                 failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
                 break
@@ -483,12 +486,15 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     """Run one named suite (or ``all``) up to size n and report per-check results.
 
     With ``min(jobs, cpu count)`` above one, a single worker pool serves the
-    whole run and receives each level in chunks as it is generated.
+    whole run and receives each level in chunks as it is generated.  Raises
+    ``ValueError`` for an unknown name, n below 1 or jobs below 1.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     names = _SUITES if name == "all" else (name,)
     workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()

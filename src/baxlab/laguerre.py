@@ -6,7 +6,6 @@ may range over 1..h_i, where h_i is one plus the height before step i.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, starmap
@@ -129,10 +128,10 @@ def psi_fv(p: Perm) -> LaguerreHistory:
     Step i comes from the class of letter i (valley -> U, peak -> D, double
     descent -> B, double ascent -> R).  Weight i is one plus the number of
     descent pairs strictly left of i's position that straddle i in value,
-    i.e. the nesting depth at which i sits.  One left-to-right sweep keeps
-    the tops and the bottoms of the descent pairs passed so far sorted; no
-    pair value equals i, so the straddling pairs are those with a bottom
-    below i less those with a top below i, two bisections.
+    i.e. the nesting depth at which i sits.  No pair value equals i, so the
+    straddling pairs are those with a bottom below i less those with a top
+    below i, which one left-to-right sweep counts over the pairs passed so
+    far (see :func:`_psi_fv`).
 
     Raises :class:`~baxlab.perm.InvalidPermutationError` unless p is a
     permutation of 1..len(p).
@@ -145,25 +144,80 @@ def psi_fv(p: Perm) -> LaguerreHistory:
     return LaguerreHistory(*_psi_fv(p))
 
 
+# the length from which the Fenwick sweep beats the bitset sweep: on seeded
+# Baxter permutations the bitset sweep took 0.8 times the tree's CPU time at
+# 1,024 letters, 0.96 at 2,048, 1.07 at 2,560 and 1.4 at 4,096
+_TREE_FROM = 2048
+
+
 def _psi_fv(p: Perm) -> tuple[str, tuple[int, ...]]:
     """:func:`psi_fv` of a permutation of 1..len(p), unchecked, as (word, weights).
 
-    The same sweep reads each letter's class from its neighbours, with
-    pi_0 = pi_{n+1} = 0: the letter of v is "DRBU"[2 * (left > v) + (right > v)].
+    Short permutations go to :func:`_psi_fv_by_bits`, whose big-int shifts
+    make it quadratic, and long ones to :func:`_psi_fv_by_tree`.
+    """
+    return _psi_fv_by_tree(p) if len(p) >= _TREE_FROM else _psi_fv_by_bits(p)
+
+
+def _psi_fv_by_bits(p: Perm) -> tuple[str, tuple[int, ...]]:
+    """:func:`_psi_fv` by one sweep that keeps the tops and the bottoms of the
+    descent pairs passed as the bits of two ints.
+
+    Every pair has one top and one bottom, so the pairs with a bottom below
+    v less those with a top below v are those with a top above v less those
+    with a bottom above v: two shifts and two bit counts.  The same sweep
+    reads each letter's class from its neighbours, with pi_0 = pi_{n+1} = 0:
+    the letter of v is "DRBU"[2 * (left > v) + (right > v)].
     """
     n = len(p)
     letter = [""] * (n + 1)  # letter[v] and weight[v] for the letter v
     weight = [0] * (n + 1)
-    tops: list[int] = []
-    bottoms: list[int] = []
+    tops = bottoms = 0
     left = 0
     for v, right in zip(p, (*p[1:], 0)):
-        at = bisect_left(bottoms, v)
-        weight[v] = 1 + at - bisect_right(tops, v)
+        weight[v] = 1 + (tops >> v).bit_count() - (bottoms >> v).bit_count()
         if left > v:
             letter[v] = "BU"[right > v]
-            insort(tops, left)
-            bottoms.insert(at, v)
+            tops |= 1 << left
+            bottoms |= 1 << v
+        else:
+            letter[v] = "DR"[right > v]
+        left = v
+    return "".join(letter[1:n]), tuple(weight[1:n])
+
+
+def _psi_fv_by_tree(p: Perm) -> tuple[str, tuple[int, ...]]:
+    """:func:`_psi_fv` by one sweep over a Fenwick tree of values, in
+    O(n log n) (Fenwick, Softw. Pract. Exp. 24, 1994).
+
+    Each descent pair passed adds +1 at its bottom and -1 at its top, so the
+    weight of v is 1 plus the prefix sum below v.  The tree has a power of
+    two above n as its root, so the update paths of a pair's bottom and top
+    always meet; from there on the two updates cancel, and each stops
+    there.  Letters are read as in :func:`_psi_fv_by_bits`.
+    """
+    n = len(p)
+    letter = [""] * (n + 1)
+    weight = [0] * (n + 1)
+    tree = [0] * ((1 << n.bit_length()) + 1)  # tree[i] sums the values i - (i & -i) + 1..i
+    left = 0
+    for v, right in zip(p, (*p[1:], 0)):
+        s = 1
+        i = v - 1
+        while i:
+            s += tree[i]
+            i &= i - 1
+        weight[v] = s
+        if left > v:
+            letter[v] = "BU"[right > v]
+            i, j = v, left
+            while i != j:
+                if i < j:
+                    tree[i] += 1
+                    i += i & -i
+                else:
+                    tree[j] -= 1
+                    j += j & -j
         else:
             letter[v] = "DR"[right > v]
         left = v

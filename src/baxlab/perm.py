@@ -134,11 +134,6 @@ def stat_profile(p: Perm) -> StatProfile:
     1..len(p).
     """
     check_permutation(p)
-    return _stat_profile(p)
-
-
-def _stat_profile(p: Perm) -> StatProfile:
-    """:func:`stat_profile` of a permutation of 1..len(p), unchecked."""
     des, dt, db = _descents(p)
     ides, idt, idb = _descents(inverse(p))
     dt_set = frozenset(dt)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping
 
-from .perm import _is_int, _stat_profile, iter_baxter
+from .perm import _descents, _is_int, inverse, iter_baxter
 
 
 class InexactDivisionError(ArithmeticError):
@@ -261,7 +261,9 @@ def baxter_polynomial_lhs(n: int) -> TQPoly:
     """Brute sum of t^des q^(imaj_b + maj + imaj_t) over all Baxter permutations."""
     acc: dict[tuple[int, int], int] = {}
     for p in iter_baxter(n):
-        prof = _stat_profile(p)
-        key = (prof.des, prof.imaj_b + prof.maj + prof.imaj_t)
+        des = _descents(p)[0]
+        _, idt, idb = _descents(inverse(p))
+        # des, maj, imaj_b and imaj_t as perm.StatProfile defines them
+        key = (len(des), sum(des) + sum(idb) + sum(idt) - len(idt))
         acc[key] = acc.get(key, 0) + 1
     return TQPoly(acc)

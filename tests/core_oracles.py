@@ -2,7 +2,8 @@
 descent sets built one generator at a time, each by its own helper here so
 that no oracle calls the descent pass it checks, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map with its letter classes read in a
-separate pass, history validity against a height profile, the middle path
+separate pass and by the sorted-list sweep that the bitset and Fenwick
+sweeps replaced, history validity against a height profile, the middle path
 of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
 placeholder rebuild of ``psi_fv_inverse`` with its placeholders listed left
 to right, the path-triple word check run word by word, the step-word walk that
@@ -104,6 +105,30 @@ def psi_fv_by_two_passes(p):
             insort(tops, p[k - 1])
             insort(bottoms, v)
     return word, tuple(weight[1:n])
+
+
+def psi_fv_by_sorted_lists(p):
+    """(word, weights) of psi_fv by one sweep that keeps the tops and the
+    bottoms of the descent pairs passed in two sorted lists: weight v is one
+    plus the bottoms below v less the tops below v, two bisections, and each
+    descent inserts into both lists, so the sweep is quadratic in bytes moved."""
+    n = len(p)
+    letter = [""] * (n + 1)
+    weight = [0] * (n + 1)
+    tops = []
+    bottoms = []
+    left = 0
+    for v, right in zip(p, (*p[1:], 0)):
+        at = bisect_left(bottoms, v)
+        weight[v] = 1 + at - bisect_right(tops, v)
+        if left > v:
+            letter[v] = "BU"[right > v]
+            insort(tops, left)
+            bottoms.insert(at, v)
+        else:
+            letter[v] = "DR"[right > v]
+        left = v
+    return "".join(letter[1:n]), tuple(weight[1:n])
 
 
 def validity_by_profile(word, weights):

@@ -17,11 +17,15 @@ from baxlab.bijections import (
     phi,
     psi,
 )
+from baxlab import laguerre
 from baxlab.laguerre import (
+    _TREE_FROM,
     LETTERS,
     LaguerreHistory,
     _histories,
     _psi_fv,
+    _psi_fv_by_bits,
+    _psi_fv_by_tree,
     _psi_fv_inverse,
     _validity,
     enumerate_histories,
@@ -42,6 +46,7 @@ from core_oracles import (
     is_baxter_by_insort,
     phi_by_prefix_counts,
     phi_inverse_by_prefix_counts,
+    psi_fv_by_sorted_lists,
     psi_fv_by_two_passes,
     psi_fv_inverse_by_left_holes,
     stat_profile_by_sets,
@@ -65,6 +70,8 @@ def _same_as_the_replaced_bodies(p):
     assert _is_baxter(p) == is_baxter_by_insort(p), p
     word, weights = _psi_fv(p)
     assert (word, weights) == psi_fv_by_two_passes(p), p
+    # both sweeps, whichever of them _psi_fv picks at this length
+    assert _psi_fv_by_bits(p) == _psi_fv_by_tree(p) == (word, weights), p
     assert _validity(word, weights) == validity_by_profile(word, weights), p
     words = _outcome(_phi, word, weights)
     assert words == _outcome(lambda *h: astuple(phi_by_prefix_counts(*h)), word, weights), p
@@ -102,6 +109,7 @@ def test_bit_and_byte_kernels_match_the_oracles_at_scale(n, swaps):
             assert is_nonintersecting(t) and is_nonintersecting_by_vertices(t)
             assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words)
         assert psi(p) == PathTriple(*_phi(*_psi_fv(p)))
+        assert _psi_fv(p) == psi_fv_by_sorted_lists(p)
         assert gamma_prime_inverse(gamma_prime(p)) == p
         # the history behind the gamma triple, whose placeholders pile up high
         history = _psi_fv(inverse(p))
@@ -109,8 +117,36 @@ def test_bit_and_byte_kernels_match_the_oracles_at_scale(n, swaps):
         for i in random.Random(seed).sample(range(n - 1), swaps):
             q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
             assert _is_baxter(q) == is_baxter_by_insort(q), i
+            assert _psi_fv(q) == psi_fv_by_sorted_lists(q), i
             t = gamma(q, checked=False)
             assert is_nonintersecting(t) == is_nonintersecting_by_vertices(t), i
+
+
+@pytest.mark.parametrize("n", [_TREE_FROM - 1, _TREE_FROM, 20000])
+def test_both_psi_fv_sweeps_match_the_sorted_lists_around_the_switch(n):
+    # a seeded Baxter input, and the same with one adjacent transposition at
+    # a seeded place, since psi_fv takes any permutation
+    rng = random.Random(n)
+    p = random_baxter(n, rng)
+    i = rng.randrange(n - 1)
+    for q in (p, p[:i] + (p[i + 1], p[i]) + p[i + 2 :]):
+        want = psi_fv_by_sorted_lists(q)
+        assert _psi_fv_by_bits(q) == want, i
+        assert _psi_fv_by_tree(q) == want, i
+
+
+def test_psi_fv_runs_one_sweep_chosen_by_length(monkeypatch):
+    ran = []
+    monkeypatch.setattr(laguerre, "_psi_fv_by_bits", lambda p: ran.append(("bits", len(p))))
+    monkeypatch.setattr(laguerre, "_psi_fv_by_tree", lambda p: ran.append(("tree", len(p))))
+    for n in (1, _TREE_FROM - 1, _TREE_FROM, _TREE_FROM + 1):
+        laguerre._psi_fv(tuple(range(1, n + 1)))
+    assert ran == [
+        ("bits", 1),
+        ("bits", _TREE_FROM - 1),
+        ("tree", _TREE_FROM),
+        ("tree", _TREE_FROM + 1),
+    ]
 
 
 def _weight_ranges(word):

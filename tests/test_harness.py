@@ -38,6 +38,12 @@ def test_run_suite_rejects_unknown_names():
         run_suite("counts", 0)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_suite_rejects_worker_counts_below_one(jobs):
+    with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+        run_suite("counts", 3, jobs=jobs)
+
+
 def test_reports_are_deterministic():
     a = run_suite("corollaries", 6)
     b = run_suite("corollaries", 6)
@@ -230,6 +236,41 @@ def test_image_folds_name_a_repeated_permutation(monkeypatch):
     assert (check.passed, check.detail) == (False, "[2, 1] and [2, 1] share (DT-1, IDES, DB)")
 
 
+def _corrupt_phi(monkeypatch, length, corrupt):
+    """Make harness._phi rewrite its (bottom, middle, top) words on histories of one length."""
+    real_phi = harness._phi
+
+    def phi(word, weights):
+        words = real_phi(word, weights)
+        return corrupt(*words) if len(word) == length else words
+
+    monkeypatch.setattr(harness, "_phi", phi)
+
+
+def test_psi_encodings_failure_shows_the_decoded_and_the_statistic_sets(monkeypatch):
+    # the last bottom step of every 5-letter image turned round
+    _corrupt_phi(monkeypatch, 4, lambda b, m, t: (b[:-1] + "VH"[b[-1] == "V"], m, t))
+    checks = {c.label: c for c in run_suite("lemma-encodings", 5).checks}
+    assert checks["psi-encodings-n4"].passed
+    assert (checks["psi-encodings-n5"].passed, checks["psi-encodings-n5"].detail) == (
+        False,
+        "psi of [5, 4, 3, 2, 1] decodes to (frozenset({1, 2, 3}), frozenset({1, 2, 3, 4}), "
+        "frozenset({1, 2, 3, 4})), statistics say (frozenset({1, 2, 3, 4}), "
+        "frozenset({1, 2, 3, 4}), frozenset({1, 2, 3, 4}))",
+    )
+
+
+def test_psi_encodings_failure_names_a_path_that_decodes_right_but_differs(monkeypatch):
+    # a trailing V keeps the decoded set but not the step word
+    _corrupt_phi(monkeypatch, 3, lambda b, m, t: (b, m + "V", t))
+    checks = {c.label: c for c in run_suite("lemma-encodings", 4).checks}
+    assert (checks["psi-encodings-n4"].passed, checks["psi-encodings-n4"].detail) == (
+        False,
+        "psi and gamma_prime disagree below the top path for [4, 3, 2, 1]",
+    )
+    assert all(c.passed for label, c in checks.items() if label != "psi-encodings-n4")
+
+
 def test_image_folds_stop_at_the_triple_enumeration_limit(monkeypatch):
     monkeypatch.setattr(harness, "TLP_ENUM_LIMIT", 3)
     labels = [c.label for c in run_suite("bijection", 5).checks]
@@ -409,6 +450,13 @@ def test_cli_verify_rejects_sizes_above_the_cap(capsys):
     assert cli.main(["verify", "--suite", "polynomial", "--n", "61"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: verify --n is capped at 60, got 61\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_verify_rejects_worker_counts_below_one(jobs, capsys):
+    assert cli.main(["verify", "--suite", "counts", "--n", "3", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: jobs must be >= 1\n"
 
 
 def test_cli_verify_accepts_the_cap(monkeypatch, capsys):

@@ -248,6 +248,17 @@ def test_baxter_polynomial_lhs_small():
     assert baxter_polynomial_lhs(2).terms() == [(0, 0, 1), (1, 3, 1)]
 
 
+def test_baxter_polynomial_lhs_sums_the_stat_profiles(bax):
+    # the brute sum, term by term, as read off the public stat_profile
+    for n in range(1, 9):
+        acc = {}
+        for p in bax.get(n):
+            prof = stat_profile(p)
+            key = (prof.des, prof.imaj_b + prof.maj + prof.imaj_t)
+            acc[key] = acc.get(key, 0) + 1
+        assert baxter_polynomial_lhs(n) == TQPoly(acc), n
+
+
 def test_nine_letter_example_contributes_t4_q60():
     prof = stat_profile((2, 3, 5, 4, 1, 9, 7, 8, 6))
     assert (prof.des, prof.imaj_b + prof.maj + prof.imaj_t) == (4, 60)
