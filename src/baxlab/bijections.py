@@ -32,10 +32,6 @@ class NotBaxterError(ValueError):
     """The permutation contains 2-41-3 or 3-14-2."""
 
 
-class NotInImageError(ValueError):
-    """The triple does not come from any Baxter permutation."""
-
-
 class MalformedMiddleError(ValueError):
     """The weights do not chain into a unit-step middle path."""
 

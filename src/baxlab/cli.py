@@ -95,6 +95,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    if args.unchecked and args.target not in ("gamma", "gamma-prime"):
+        raise ValueError("--unchecked applies only to --to gamma and --to gamma-prime")
     p = jsonio.perm_from_obj(_parse_perm_text(args.perm))
     if args.target == "laguerre":
         h = psi_fv(p)

@@ -6,6 +6,7 @@ may range over 1..h_i, where h_i is one plus the height before step i.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, starmap
@@ -31,15 +32,15 @@ class LaguerreHistory:
     def __post_init__(self) -> None:
         word = self.word
         if not isinstance(word, str) or sum(map(word.count, LETTERS)) != len(word):
-            raise ValueError(f"word must be over {LETTERS!r}: {word!r}")
+            raise ValueError(f"word must be over {LETTERS!r}: {reprlib.repr(word)}")
         try:
             weights = tuple(self.weights)
         except TypeError:
             raise MalformedHistoryError(
-                f"weights must be a sequence of integers: {self.weights!r}"
+                f"weights must be a sequence of integers: {reprlib.repr(self.weights)}"
             ) from None
         if not _all_ints(weights):
-            raise MalformedHistoryError(f"weights must be integers: {self.weights!r}")
+            raise MalformedHistoryError(f"weights must be integers: {reprlib.repr(self.weights)}")
         object.__setattr__(self, "weights", weights)
         if len(self.word) != len(self.weights):
             raise MalformedHistoryError(

@@ -1,6 +1,7 @@
 """Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2), as step words."""
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate, starmap
 from operator import le
@@ -43,7 +44,7 @@ class PathTriple:
     def __post_init__(self) -> None:
         for steps in (self.bottom, self.middle, self.top):
             if not isinstance(steps, str) or steps.count("H") + steps.count("V") != len(steps):
-                raise ValueError(f"steps must be a word over 'HV': {steps!r}")
+                raise ValueError(f"steps must be a word over 'HV': {reprlib.repr(steps)}")
         if not (len(self.bottom) == len(self.middle) == len(self.top)):
             raise ValueError(
                 "paths must have equal lengths, got "

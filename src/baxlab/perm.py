@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
@@ -32,15 +32,15 @@ def as_permutation(word: Iterable[int]) -> Perm:
 def check_permutation(p: Perm) -> None:
     """Raise unless p is non-empty and holds exactly the integers 1..len(p).
 
-    Every entry must be an ``int`` proper: ``True`` and ``1.0`` compare equal
+    Every entry must pass :func:`_is_int`: ``True`` and ``1.0`` compare equal
     to 1 but are not permutation entries.  The messages show p as
     ``reprlib.repr`` does, its first six entries, and name the first bad
     entry when that cuts p short.
     """
     if not p:
         raise InvalidPermutationError("a permutation must have length >= 1")
-    if not {int}.issuperset(map(type, p)):
-        bad = next(i for i, v in enumerate(p) if type(v) is not int)
+    if not _all_ints(p):
+        bad = next(i for i, v in enumerate(p) if not _is_int(v))
         raise InvalidPermutationError(f"permutation entries must be integers: {_shown(p, bad)}")
     if sorted(p) != list(range(1, len(p) + 1)):
         seen: set[int] = set()
@@ -61,17 +61,14 @@ def _shown(p: Perm, bad: int) -> str:
 
 
 def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """The package's one integer rule: an ``int`` proper.  ``True``, ``1.0``
+    and instances of ``int`` subclasses are refused wherever it applies."""
+    return type(v) is int
 
 
-def _all_ints(xs: Sequence[object]) -> bool:
-    """True iff every entry passes :func:`_is_int`; a C-level pass over the
-    exact types settles the common all-``int`` case first."""
-    return {int}.issuperset(map(type, xs)) or all(map(_is_int, xs))
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+def _all_ints(xs: Iterable[object]) -> bool:
+    """True iff every entry passes :func:`_is_int`, in one C-level pass."""
+    return {int}.issuperset(map(type, xs))
 
 
 def all_permutations(n: int) -> Iterator[Perm]:

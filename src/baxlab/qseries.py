@@ -42,14 +42,6 @@ class QPoly:
             raise ValueError("negative q-degrees are not allowed")
         self._c = c
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def degree(self) -> int:
-        if not self._c:
-            raise ValueError("the zero polynomial has no degree")
-        return max(self._c)
-
     def coefficient(self, degree: int) -> int:
         return self._c.get(degree, 0)
 
@@ -65,13 +57,6 @@ class QPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        c: dict[int, int] = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
-                c[d1 + d2] = c.get(d1 + d2, 0) + v1 * v2
-        return QPoly(c)
 
     def __repr__(self) -> str:
         if not self._c:
@@ -95,19 +80,9 @@ class TQPoly:
             raise ValueError("negative degrees are not allowed")
         self._c = c
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coefficient(self, t_deg: int, q_deg: int) -> int:
-        return self._c.get((t_deg, q_deg), 0)
-
     def terms(self) -> list[tuple[int, int, int]]:
         """(t-degree, q-degree, coefficient) triples sorted by degrees."""
         return [(a, b, c) for (a, b), c in sorted(self._c.items())]
-
-    def t_slice(self, t_deg: int) -> QPoly:
-        """The q-polynomial multiplying t^t_deg."""
-        return QPoly({b: c for (a, b), c in self._c.items() if a == t_deg})
 
     def __call__(self, t: int, q: int) -> int:
         return sum(c * t**a * q**b for (a, b), c in self._c.items())

@@ -1,14 +1,15 @@
 """The bodies that the fused one-pass cores replaced, kept as test oracles:
 descent sets built one generator at a time, each by its own helper here so
 that no oracle calls the descent pass it checks, the Baxter sweep that bisects
-again to insert, the Françon-Viennot map with its letter classes read in a
-separate pass and by the sorted-list sweep that the bitset and Fenwick
-sweeps replaced, history validity against a height profile, the middle path
-of ``phi`` and the weights of ``phi_inverse`` from H-prefix counts, the
-placeholder rebuild of ``psi_fv_inverse`` with its placeholders listed left
-to right, the path-triple word check run word by word, the step-word walk that
-recursed once per step, and the q-binomials and closed form built from
-dict-product ``QPoly`` arithmetic with a checked long division."""
+again to insert, the Françon-Viennot map by the sorted-list sweep that the
+bitset and Fenwick sweeps replaced, history validity against a height
+profile, the middle path of ``phi`` and the weights of ``phi_inverse`` from
+H-prefix counts, the placeholder rebuild of ``psi_fv_inverse`` with its
+placeholders listed left to right, the path-triple word check run word by
+word, the step-word walk that recursed once per step, and the q-binomials
+and closed form built from dict-product ``QPoly`` arithmetic
+(:func:`poly_product`) with a checked long division."""
+import reprlib
 from bisect import bisect_left, bisect_right, insort
 from math import comb
 
@@ -81,30 +82,6 @@ def is_baxter_by_insort(p):
                 return False
         insort(seen, a)
     return True
-
-
-def _letter_classes(p, labels):
-    """Letter i gets labels[2 * (left > i) + (right > i)], pi_0 = pi_{n+1} = 0."""
-    padded = (0, *p, 0)
-    out = [labels[0]] * len(p)
-    for left, v, right in zip(padded, p, padded[2:]):
-        out[v - 1] = labels[2 * (left > v) + (right > v)]
-    return out[:-1]
-
-
-def psi_fv_by_two_passes(p):
-    """(word, weights) of psi_fv: the classes in one pass, the weights in another."""
-    n = len(p)
-    word = "".join(_letter_classes(p, "DRBU"))
-    weight = [0] * (n + 1)
-    tops = []
-    bottoms = []
-    for k, v in enumerate(p):
-        weight[v] = 1 + bisect_left(bottoms, v) - bisect_right(tops, v)
-        if k and p[k - 1] > v:
-            insort(tops, p[k - 1])
-            insort(bottoms, v)
-    return word, tuple(weight[1:n])
 
 
 def psi_fv_by_sorted_lists(p):
@@ -206,7 +183,7 @@ def check_words_one_by_one(bottom, middle, top):
     """The ValueError PathTriple raises for its words, or None."""
     for steps in (bottom, middle, top):
         if not isinstance(steps, str) or steps.strip("HV"):
-            return ValueError(f"steps must be a word over 'HV': {steps!r}")
+            return ValueError(f"steps must be a word over 'HV': {reprlib.repr(steps)}")
     return None
 
 
@@ -231,6 +208,17 @@ def step_words_by_recursion(h_count, ceiling):
     yield from extend(0)
 
 
+def poly_product(a, *rest):
+    """The product of QPolys, term by term over dicts."""
+    for b in rest:
+        c = {}
+        for d1, v1 in a.terms():
+            for d2, v2 in b.terms():
+                c[d1 + d2] = c.get(d1 + d2, 0) + v1 * v2
+        a = QPoly(c)
+    return a
+
+
 def q_binomial_by_division(n, k):
     """Multiply a factor (1 - q^(n-k+i)) in and divide (1 - q^i) out, k times;
     every intermediate value is a q-binomial, so each division is exact."""
@@ -238,20 +226,20 @@ def q_binomial_by_division(n, k):
         return QPoly()
     out = QPoly({0: 1})
     for i in range(1, k + 1):
-        out = exact_div(out * QPoly({0: 1, n - k + i: -1}), QPoly({0: 1, i: -1}))
+        out = exact_div(poly_product(out, QPoly({0: 1, n - k + i: -1})), QPoly({0: 1, i: -1}))
     return out
 
 
 def baxter_polynomial_rhs_by_products(n):
     """The closed form, one t-slice at a time, through QPoly products."""
-    den = q_binomial_by_division(n + 1, 1) * q_binomial_by_division(n + 1, 2)
+    den = poly_product(q_binomial_by_division(n + 1, 1), q_binomial_by_division(n + 1, 2))
     out = {}
     for k in range(n):
-        num = (
-            QPoly({3 * comb(k + 1, 2): 1})
-            * q_binomial_by_division(n + 1, k)
-            * q_binomial_by_division(n + 1, k + 1)
-            * q_binomial_by_division(n + 1, k + 2)
+        num = poly_product(
+            QPoly({3 * comb(k + 1, 2): 1}),
+            q_binomial_by_division(n + 1, k),
+            q_binomial_by_division(n + 1, k + 1),
+            q_binomial_by_division(n + 1, k + 2),
         )
         for d, c in exact_div(num, den).terms():
             out[(k, d)] = c

@@ -47,7 +47,6 @@ from core_oracles import (
     phi_by_prefix_counts,
     phi_inverse_by_prefix_counts,
     psi_fv_by_sorted_lists,
-    psi_fv_by_two_passes,
     psi_fv_inverse_by_left_holes,
     stat_profile_by_sets,
     step_words_by_recursion,
@@ -69,7 +68,7 @@ def _same_as_the_replaced_bodies(p):
     assert stat_profile(p) == stat_profile_by_sets(p), p
     assert _is_baxter(p) == is_baxter_by_insort(p), p
     word, weights = _psi_fv(p)
-    assert (word, weights) == psi_fv_by_two_passes(p), p
+    assert (word, weights) == psi_fv_by_sorted_lists(p), p
     # both sweeps, whichever of them _psi_fv picks at this length
     assert _psi_fv_by_bits(p) == _psi_fv_by_tree(p) == (word, weights), p
     assert _validity(word, weights) == validity_by_profile(word, weights), p

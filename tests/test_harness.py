@@ -353,6 +353,14 @@ def test_cli_map_rejects_non_baxter(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("target", ["psi", "laguerre"])
+def test_cli_map_refuses_unchecked_where_it_has_no_effect(target, capsys):
+    rc = cli.main(["map", "--perm", "2413", "--to", target, "--unchecked"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --unchecked applies only to --to gamma and --to gamma-prime\n"
+
+
 def test_cli_map_rejects_bad_perm(capsys):
     rc = cli.main(["map", "--perm", "[1,2,2]", "--to", "gamma"])
     assert rc == 2

@@ -13,7 +13,7 @@ from baxlab.jsonio import (
     triple_to_obj,
     tqpoly_to_obj,
 )
-from baxlab.laguerre import LaguerreHistory
+from baxlab.laguerre import LaguerreHistory, MalformedHistoryError
 from baxlab.paths import PathTriple
 from baxlab.perm import InvalidPermutationError
 from baxlab.qseries import baxter_polynomial_rhs
@@ -87,7 +87,7 @@ def test_path_forms():
         ({"start": [1, 1], "steps": "HVVH", "x": 0}, 'exactly the keys "start" and "steps"'),
         (["start", "steps"], 'exactly the keys "start" and "steps"'),
         ({"start": [1], "steps": "HVVH"}, r'"start" must be a \[x, y\] pair of integers'),
-        ({"start": [1, 1], "steps": ["H"]}, '"steps" must be a string'),
+        ({"start": [1, 1], "steps": ["H"]}, r"steps must be a word over 'HV': \['H'\]"),
         ({"start": [1, 1], "steps": "HXVH"}, "steps must be a word over 'HV': 'HXVH'"),
         ({"start": [1, 1], "steps": "HVV"}, "paths must have equal lengths, got 8/3/8"),
         ({"start": [-1, 0], "steps": "VVHHVHVH"}, r"middle path must start at \(1, 1\), got \(-1, 0\)"),
@@ -146,17 +146,55 @@ def test_history_forms():
         history_from_obj({"word": "UD", "weights": [1, "x"]})
 
 
-def test_history_from_obj_accepts_int_subclass_weights():
-    h = history_from_obj({"word": "UD", "weights": [_Int(1), _Int(2)]})
-    assert h == LaguerreHistory("UD", (1, 2))
+@pytest.mark.parametrize("weights", ["", {}, "12", 5, None])
+def test_history_from_obj_wants_a_weight_array(weights):
+    # LaguerreHistory takes any iterable, and "" or {} would iterate as no weights
+    with pytest.raises(ValueError) as info:
+        history_from_obj({"word": "", "weights": weights})
+    assert type(info.value) is ValueError
+    assert str(info.value) == '"weights" must be an array of integers'
 
 
 @pytest.mark.parametrize("weights", [[True, 1], [1, True], [1.0, 1], [1, 1.0]])
 def test_history_from_obj_rejects_bool_and_float_weights(weights):
-    with pytest.raises(ValueError) as info:
+    # LaguerreHistory judges the weights, so the loader raises its error
+    with pytest.raises(MalformedHistoryError) as info:
         history_from_obj({"word": "UD", "weights": weights})
-    assert type(info.value) is ValueError
-    assert str(info.value) == '"weights" must be an array of integers'
+    assert str(info.value) == f"weights must be integers: {weights!r}"
+
+
+@pytest.mark.parametrize(
+    "load, obj, message",
+    [
+        (
+            triple_from_obj,
+            with_path("middle", {"start": [1, 1], "steps": "V" * 99999 + "X"}),
+            "steps must be a word over 'HV': 'VVVVVVVVVVVV...VVVVVVVVVVVVX'",
+        ),
+        (
+            triple_from_obj,
+            with_path("middle", {"start": [1, 1], "steps": ["V"] * 100000}),
+            "steps must be a word over 'HV': ['V', 'V', 'V', 'V', 'V', 'V', ...]",
+        ),
+        (
+            history_from_obj,
+            {"word": "R" * 100000, "weights": [1] * 99999 + [True]},
+            "weights must be integers: [1, 1, 1, 1, 1, 1, ...]",
+        ),
+        (
+            history_from_obj,
+            {"word": "R" * 99999 + "X", "weights": [1] * 100000},
+            "word must be over 'UDBR': 'RRRRRRRRRRRR...RRRRRRRRRRRRX'",
+        ),
+    ],
+    ids=["string-steps", "array-steps", "weights", "word"],
+)
+def test_loader_messages_are_bounded(load, obj, message):
+    # the value types name a bad word or weight list as reprlib.repr does,
+    # so a long malformed file still gives a one-line error
+    with pytest.raises(ValueError) as info:
+        load(obj)
+    assert str(info.value) == message
 
 
 def test_tqpoly_forms():

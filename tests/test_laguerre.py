@@ -153,15 +153,6 @@ def test_psi_fv_inverse_names_the_placeholders_left(word, weights, message):
     assert str(info.value) == message
 
 
-class _Int(int):
-    pass
-
-
-def test_history_accepts_int_subclass_weights():
-    h = LaguerreHistory("UD", (_Int(1), _Int(2)))
-    assert h.weights == (1, 2) and psi_fv_inverse(h) == (3, 1, 2)
-
-
 @pytest.mark.parametrize(
     "weights, message",
     [

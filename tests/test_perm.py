@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from baxlab.laguerre import LetterClass, classify_letters
+from baxlab.jsonio import history_from_obj, triple_from_obj, triple_to_obj
+from baxlab.laguerre import LaguerreHistory, LetterClass, classify_letters
+from baxlab.paths import PathTriple
 from baxlab.perm import (
     InvalidPermutationError,
     all_permutations,
     as_permutation,
     generate_baxter,
-    identity,
     insertion_slots,
     inverse,
     is_baxter,
@@ -16,6 +17,7 @@ from baxlab.perm import (
     shape_flags,
     stat_profile,
 )
+from baxlab.qseries import QPoly, TQPoly
 from bfs_oracle import generate_baxter_bfs
 from core_oracles import descent_bottoms, descent_positions, descent_tops
 from fv_oracles import classify_letters_by_position, is_baxter_bruteforce
@@ -41,23 +43,67 @@ def test_as_permutation_rejects_invalid_words(bad):
         as_permutation(bad)
 
 
+class _Int(int):
+    pass
+
+
+def _with_middle_start(start):
+    """The JSON form of the one-vertex triple, its middle start replaced."""
+    obj = triple_to_obj(PathTriple("", "", ""))
+    return {**obj, "middle": {"start": start, "steps": ""}}
+
+
+# every place an integer enters the package, each fed the value v
+_INTEGER_ENTRY_POINTS = {
+    "as_permutation": lambda v: as_permutation([v]),
+    "LaguerreHistory weights": lambda v: LaguerreHistory("R", (v,)),
+    "history_from_obj": lambda v: history_from_obj({"word": "R", "weights": [v]}),
+    "triple_from_obj start": lambda v: triple_from_obj(_with_middle_start([v, v])),
+    "QPoly degree": lambda v: QPoly({v: 1}),
+    "QPoly coefficient": lambda v: QPoly({0: v}),
+    "TQPoly t-degree": lambda v: TQPoly({(v, 0): 1}),
+    "TQPoly q-degree": lambda v: TQPoly({(0, v): 1}),
+    "TQPoly coefficient": lambda v: TQPoly({(0, 0): v}),
+}
+
+
+def _accepts(entry_point, v):
+    try:
+        entry_point(v)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(1, True), (True, False), (1.0, False), (_Int(1), False)],
+    ids=["int", "bool", "float", "int-subclass"],
+)
+def test_one_integer_rule_at_every_entry_point(value, accepted):
+    # perm._is_int is the one rule: an int proper, so True, 1.0 and an int
+    # subclass are refused wherever the package takes an integer
+    verdicts = {name: _accepts(f, value) for name, f in _INTEGER_ENTRY_POINTS.items()}
+    assert verdicts == dict.fromkeys(_INTEGER_ENTRY_POINTS, accepted)
+
+
 def test_inverse_against_position_of_value():
     # independent oracle: the position of each value, assembled by search
     oracle = tuple(EX9.index(v) + 1 for v in range(1, 10))
     assert inverse(EX9) == oracle == (5, 1, 2, 4, 3, 9, 7, 8, 6)
-    assert inverse(identity(5)) == identity(5)
+    assert inverse(tuple(range(1, 6))) == tuple(range(1, 6))
     assert inverse((2, 1)) == (2, 1)
 
 
 @given(perms)
 def test_inverse_is_an_involution(p):
     assert inverse(inverse(p)) == p
-    assert tuple(p[i - 1] for i in inverse(p)) == identity(len(p))
+    assert tuple(p[i - 1] for i in inverse(p)) == tuple(range(1, len(p) + 1))
 
 
 def test_is_baxter_known_cases():
     assert is_baxter(EX9)
-    assert is_baxter(identity(6))
+    assert is_baxter(tuple(range(1, 7)))
     assert not is_baxter((2, 4, 1, 3))
     assert not is_baxter((3, 1, 4, 2))
     assert not is_baxter_bruteforce((2, 4, 1, 3))
@@ -92,7 +138,7 @@ def test_stat_profile_nine_letter_example():
 
 
 def test_stat_profile_identity():
-    prof = stat_profile(identity(5))
+    prof = stat_profile(tuple(range(1, 6)))
     assert prof.des_set == prof.dt_set == prof.db_set == frozenset()
     assert prof.des == prof.maj == prof.imaj_b == prof.imaj_t == 0
     assert prof.dt_hat_set == frozenset()
@@ -280,7 +326,7 @@ def test_shape_flags_known_cases():
     assert shape_flags(inverse((2, 1, 5, 4, 6, 3))).genocchi
     assert inverse((2, 1, 5, 4, 6, 3)) == (2, 1, 6, 4, 3, 5)
 
-    flags = shape_flags(identity(4))
+    flags = shape_flags(tuple(range(1, 5)))
     assert flags == type(flags)(False, False, False)
 
     flags = shape_flags((2, 1))

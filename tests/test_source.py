@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -72,3 +73,30 @@ def test_no_import_statement_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def _is_exception_base(base):
+    """A base class named in a class statement: a builtin exception, or a
+    name that follows the package's ``...Error`` convention."""
+    name = getattr(base, "id", "")
+    builtin = getattr(builtins, name, None)
+    return name.endswith("Error") or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+
+def test_every_exception_class_of_the_package_is_raised_in_it():
+    # an exception class that the package never raises is a name only its
+    # tests can use
+    trees = _package_trees().values()
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(_is_exception_base, node.bases))
+    }
+    raised = {
+        getattr(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, "id", None)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+    }
+    assert defined and sorted(defined - raised) == []

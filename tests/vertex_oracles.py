@@ -3,7 +3,7 @@ test oracles, the vertices they read, and the exhaustive source of triples
 they are checked on."""
 from itertools import product
 
-from baxlab.bijections import NotInImageError, psi_inverse
+from baxlab.bijections import psi_inverse
 from baxlab.paths import (
     BOTTOM_START,
     MIDDLE_START,
@@ -68,7 +68,5 @@ def gamma_prime_inverse_by_search(t):
         if dx * dx + dy * dy == 2:
             candidates.append(cand)
     if len(candidates) != 1:
-        raise NotInImageError(
-            f"{len(candidates)} candidate top paths qualify; expected exactly one"
-        )
+        raise ValueError(f"{len(candidates)} candidate top paths qualify; expected exactly one")
     return psi_inverse(PathTriple(t.bottom, t.middle, candidates[0]))
