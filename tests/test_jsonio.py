@@ -163,6 +163,15 @@ def test_history_from_obj_rejects_bool_and_float_weights(weights):
     assert str(info.value) == f"weights must be integers: {weights!r}"
 
 
+def test_history_from_obj_accepts_int_subclass_weights():
+    # the name is older than the one integer rule (perm._is_int): the loader
+    # once passed an int subclass through, and LaguerreHistory now refuses it
+    with pytest.raises(MalformedHistoryError) as info:
+        history_from_obj({"word": "UD", "weights": [_Int(1), _Int(2)]})
+    assert str(info.value) == "weights must be integers: [1, 2]"
+    assert history_from_obj({"word": "UD", "weights": [1, 2]}) == LaguerreHistory("UD", (1, 2))
+
+
 @pytest.mark.parametrize(
     "load, obj, message",
     [

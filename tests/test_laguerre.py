@@ -168,6 +168,19 @@ def test_history_rejects_bool_and_float_weights_by_name(weights, message):
     assert str(info.value) == message
 
 
+class _Int(int):
+    pass
+
+
+def test_history_accepts_int_subclass_weights():
+    # the name is older than the one integer rule (perm._is_int): an int
+    # subclass was once accepted as a weight and is now refused by name
+    with pytest.raises(MalformedHistoryError) as info:
+        LaguerreHistory("UD", (_Int(1), _Int(2)))
+    assert str(info.value) == "weights must be integers: (1, 2)"
+    assert LaguerreHistory("UD", (1, 2)).weights == (1, 2)
+
+
 def test_round_trip_exhaustive():
     for n in range(1, 7):
         for p in all_permutations(n):
