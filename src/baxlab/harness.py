@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -49,8 +47,7 @@ BRUTE_POLY_LIMIT = 9
 INSERTION_CASE_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     passed: bool
     detail: str
@@ -59,8 +56,7 @@ class Check:
         return {"label": self.label, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     suite: str
     n: int
     checks: tuple[Check, ...]
@@ -200,8 +196,15 @@ def _check_q_binomial(mk: tuple[int, int]) -> str | None:
 
 _CHUNK = 4096
 
-# workers start from a fresh import: forking a process that runs threads is unsafe
-_Pool = multiprocessing.get_context("spawn").Pool
+def _Pool(processes: int):
+    """A pool whose workers start from a fresh import: forking a process that
+    runs threads is unsafe.  ``multiprocessing`` (with ``pickle`` and
+    ``socket``) is a large share of the package's import time, so only a
+    run that starts a pool imports it."""
+    import multiprocessing
+
+    return multiprocessing.get_context("spawn").Pool(processes)
+
 
 # ``map``, or the lazy, ordered ``imap`` of a worker pool: results come back in
 # item order either way, so a report does not depend on the worker count

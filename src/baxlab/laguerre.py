@@ -7,13 +7,12 @@ may range over 1..h_i, where h_i is one plus the height before step i.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, starmap
 from operator import le, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perm import Perm, _all_ints, check_permutation
+from .perm import Perm, _all_ints, _is_int, _shown, check_permutation
 
 LETTERS = "UDBR"
 
@@ -22,30 +21,43 @@ class MalformedHistoryError(ValueError):
     """The word/weight data cannot be processed as a history."""
 
 
-@dataclass(frozen=True)
-class LaguerreHistory:
-    """A coloured Motzkin word with one positive weight per step."""
-
+class _Steps(NamedTuple):
     word: str
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        word = self.word
-        if not isinstance(word, str) or sum(map(word.count, LETTERS)) != len(word):
+
+class LaguerreHistory(_Steps):
+    """A coloured Motzkin word with one positive weight per step: the pair
+    (word, weights), weights a tuple, whose length is the word's.  ``_make``
+    and ``_replace`` check their input as the constructor does."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: str, weights: Iterable[int]) -> LaguerreHistory:
+        if not isinstance(word, str):
             raise ValueError(f"word must be over {LETTERS!r}: {reprlib.repr(word)}")
+        if sum(map(word.count, LETTERS)) != len(word):
+            bad = next(i for i, c in enumerate(word) if c not in LETTERS)
+            raise ValueError(f"word must be over {LETTERS!r}: {_shown(word, bad)}")
         try:
-            weights = tuple(self.weights)
+            entries = tuple(weights)
         except TypeError:
             raise MalformedHistoryError(
-                f"weights must be a sequence of integers: {reprlib.repr(self.weights)}"
+                f"weights must be a sequence of integers: {reprlib.repr(weights)}"
             ) from None
-        if not _all_ints(weights):
-            raise MalformedHistoryError(f"weights must be integers: {reprlib.repr(self.weights)}")
-        object.__setattr__(self, "weights", weights)
-        if len(self.word) != len(self.weights):
-            raise MalformedHistoryError(
-                f"word has {len(self.word)} steps but {len(self.weights)} weights"
-            )
+        if not _all_ints(entries):
+            bad = next(i for i, v in enumerate(entries) if not _is_int(v))
+            # a list or tuple is shown as given, any other iterable as its tuple
+            shown = weights if isinstance(weights, (list, tuple)) else entries
+            raise MalformedHistoryError(f"weights must be integers: {_shown(shown, bad)}")
+        if len(word) != len(entries):
+            raise MalformedHistoryError(f"word has {len(word)} steps but {len(entries)} weights")
+        return tuple.__new__(cls, (word, entries))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> LaguerreHistory:
+        # the inherited _make, which _replace calls too, skips __new__
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.word)

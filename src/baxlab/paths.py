@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from itertools import accumulate, starmap
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Point = tuple[int, int]
 
@@ -28,28 +27,37 @@ def decode_path(steps: str) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(steps, start=1) if c == "H")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class PathTriple:
-    """Step words of equal length of the paths from (2,0), (1,1), (0,2).
-
-    Each word is over H = (+1, 0) and V = (0, +1).  The starts are fixed, so
-    the words are the whole triple; triples hash, and order as the tuples of
-    their words, which is the order of :func:`enumerate_tlp`.
-    """
-
+class _Words(NamedTuple):
     bottom: str
     middle: str
     top: str
 
-    def __post_init__(self) -> None:
-        for steps in (self.bottom, self.middle, self.top):
+
+class PathTriple(_Words):
+    """Step words of equal length of the paths from (2,0), (1,1), (0,2).
+
+    Each word is over H = (+1, 0) and V = (0, +1).  The starts are fixed, so
+    the words are the whole triple: a triple is the tuple of its words, and
+    orders as that tuple, which is the order of :func:`enumerate_tlp`.
+    ``_make`` and ``_replace`` check their input as the constructor does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bottom: str, middle: str, top: str) -> PathTriple:
+        for steps in (bottom, middle, top):
             if not isinstance(steps, str) or steps.count("H") + steps.count("V") != len(steps):
                 raise ValueError(f"steps must be a word over 'HV': {reprlib.repr(steps)}")
-        if not (len(self.bottom) == len(self.middle) == len(self.top)):
+        if not (len(bottom) == len(middle) == len(top)):
             raise ValueError(
-                "paths must have equal lengths, got "
-                f"{len(self.bottom)}/{len(self.middle)}/{len(self.top)}"
+                f"paths must have equal lengths, got {len(bottom)}/{len(middle)}/{len(top)}"
             )
+        return tuple.__new__(cls, (bottom, middle, top))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> PathTriple:
+        # the inherited _make, which _replace calls too, skips __new__
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -51,9 +50,10 @@ def check_permutation(p: Perm) -> None:
         raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {_shown(p, bad)}")
 
 
-def _shown(p: Perm, bad: int) -> str:
-    """p for a message: its ``reprlib.repr``, followed by the position and
-    value of its bad entry p[bad] if that repr is cut."""
+def _shown(p: Sequence[object], bad: int) -> str:
+    """p (a permutation, a word or a weight list) for a message: its
+    ``reprlib.repr``, followed by the position and value of its bad entry
+    p[bad] if that repr is cut."""
     shown = reprlib.repr(p)
     if "..." in shown:
         shown += f", entry {bad + 1} is {reprlib.repr(p[bad])}"
@@ -88,8 +88,7 @@ def inverse(p: Perm) -> Perm:
     return tuple(q)
 
 
-@dataclass(frozen=True)
-class StatProfile:
+class StatProfile(NamedTuple):
     """Descent statistics of a permutation and of its inverse.
 
     ``dt_mod_set`` holds the descent tops each lowered by one, so it lives in
@@ -264,8 +263,7 @@ def generate_baxter(n: int) -> list[Perm]:
     return list(iter_baxter(n))
 
 
-@dataclass(frozen=True)
-class ShapeFlags:
+class ShapeFlags(NamedTuple):
     alternating: bool
     reverse_alternating: bool
     genocchi: bool

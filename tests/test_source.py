@@ -1,6 +1,8 @@
 import ast
 import builtins
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import baxlab
@@ -62,6 +64,13 @@ def test_perm_is_the_bottom_layer():
     assert imports["laguerre"] == {"perm"}
 
 
+# (module, function, imported module): the one import allowed inside a
+# function.  harness._Pool imports multiprocessing on first use because it
+# and what it pulls in (pickle, socket, selectors) are a large share of the
+# package's start-up, and only a run with more than one worker needs them.
+DEFERRED_IMPORTS = {("harness", "_Pool", "multiprocessing")}
+
+
 def test_no_import_statement_inside_a_function():
     # a function-level import hides a dependency, usually a cycle
     found = [
@@ -71,8 +80,29 @@ def test_no_import_statement_inside_a_function():
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
         if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (
+            isinstance(node, ast.Import)
+            and len(node.names) == 1
+            and node.names[0].asname is None
+            and (name, fn.name, node.names[0].name) in DEFERRED_IMPORTS
+        )
     ]
     assert found == []
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_multiprocessing():
+    # the three were most of the package's import time; -S keeps what the
+    # site hooks of an installation import out of the check
+    src = str(Path(baxlab.__file__).resolve().parent.parent)
+    shunned = ("dataclasses", "inspect", "multiprocessing")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import baxlab.cli; "
+        f"print(sorted(set({shunned!r}) & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _is_exception_base(base):
