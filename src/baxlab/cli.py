@@ -15,6 +15,7 @@ from typing import Sequence
 from . import bijections, harness, jsonio
 from .laguerre import psi_fv
 from .paths import _tlp_words, enumerate_tlp, expected_endpoints
+from .perm import _check_size
 from .qseries import baxter_polynomial_rhs
 
 # The closed form's big-int division is quadratic in its operand size, so
@@ -74,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", args.n, 1)
     if args.k is not None:
         expected_endpoints(args.n, args.k)  # reject a bad k before any output
     ks = range(args.n) if args.k is None else [args.k]

@@ -21,6 +21,7 @@ from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
+    _check_size,
     _descents,
     _is_baxter,
     all_permutations,
@@ -490,14 +491,13 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
 
     With ``min(jobs, cpu count)`` above one, a single worker pool serves the
     whole run and receives each level in chunks as it is generated.  Raises
-    ``ValueError`` for an unknown name, n below 1 or jobs below 1.
+    ``ValueError`` for an unknown name, or an n or jobs that is not an int
+    of at least 1.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _check_size("n", n, 1)
+    _check_size("jobs", jobs, 1)
     names = _SUITES if name == "all" else (name,)
     workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()

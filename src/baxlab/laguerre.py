@@ -12,7 +12,7 @@ from itertools import accumulate, product, starmap
 from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .perm import Perm, _all_ints, _is_int, _shown, check_permutation
+from .perm import Perm, _all_ints, _check_size, _check_word, _is_int, _shown, check_permutation
 
 LETTERS = "UDBR"
 
@@ -34,11 +34,7 @@ class LaguerreHistory(_Steps):
     __slots__ = ()
 
     def __new__(cls, word: str, weights: Iterable[int]) -> LaguerreHistory:
-        if not isinstance(word, str):
-            raise ValueError(f"word must be over {LETTERS!r}: {reprlib.repr(word)}")
-        if sum(map(word.count, LETTERS)) != len(word):
-            bad = next(i for i, c in enumerate(word) if c not in LETTERS)
-            raise ValueError(f"word must be over {LETTERS!r}: {_shown(word, bad)}")
+        _check_word(word, LETTERS, "word must be")
         try:
             entries = tuple(weights)
         except TypeError:
@@ -337,6 +333,7 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
 
 def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The (word, weights) pairs of :func:`enumerate_histories`, in its order."""
+    _check_size("length", length)
     for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
         for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
             yield word, weights

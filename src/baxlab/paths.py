@@ -1,10 +1,15 @@
-"""Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2), as step words."""
+"""Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2), as step words.
+
+Built on :mod:`baxlab.perm` for its size, word and integer rules only.
+"""
 from __future__ import annotations
 
 import reprlib
 from itertools import accumulate, starmap
 from operator import le
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .perm import _all_ints, _check_size, _check_word, _is_int, _shown
 
 Point = tuple[int, int]
 
@@ -14,11 +19,23 @@ TOP_START: Point = (0, 2)
 
 
 def encode_set(s: Iterable[int], length: int) -> str:
-    """The step word whose i-th step is horizontal iff i is in s."""
-    chosen = frozenset(s)
-    bad = sorted(i for i in chosen if not 1 <= i <= length)
-    if bad:
-        raise ValueError(f"set elements {bad} fall outside 1..{length}")
+    """The step word whose i-th step is horizontal iff i is in s.
+
+    Raises ``ValueError`` unless length is an integer >= 0 and s an iterable
+    of integers in 1..length, each under :func:`~baxlab.perm._is_int`.
+    """
+    _check_size("length", length)
+    try:
+        elements = list(s)
+    except TypeError:
+        raise ValueError(f"set must be an iterable of integers: {reprlib.repr(s)}") from None
+    if not _all_ints(elements):
+        bad = next(i for i, v in enumerate(elements) if not _is_int(v))
+        raise ValueError(f"set elements must be integers: {_shown(elements, bad)}")
+    chosen = frozenset(elements)
+    outside = sorted(i for i in chosen if not 1 <= i <= length)
+    if outside:
+        raise ValueError(f"set elements {reprlib.repr(outside)} fall outside 1..{length}")
     return "".join("H" if i in chosen else "V" for i in range(1, length + 1))
 
 
@@ -46,8 +63,7 @@ class PathTriple(_Words):
 
     def __new__(cls, bottom: str, middle: str, top: str) -> PathTriple:
         for steps in (bottom, middle, top):
-            if not isinstance(steps, str) or steps.count("H") + steps.count("V") != len(steps):
-                raise ValueError(f"steps must be a word over 'HV': {reprlib.repr(steps)}")
+            _check_word(steps, "HV", "steps must be a word")
         if not (len(bottom) == len(middle) == len(top)):
             raise ValueError(
                 f"paths must have equal lengths, got {len(bottom)}/{len(middle)}/{len(top)}"
@@ -97,10 +113,8 @@ def is_nonintersecting(t: PathTriple) -> bool:
 
 def expected_endpoints(n: int, k: int) -> tuple[Point, Point, Point]:
     """(bottom, middle, top) endpoints of a triple with n-1 steps and k horizontals."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..{n - 1}, got {k}")
+    _check_size("n", n, 1)
+    _check_size("k", k, 0, n - 1)
     return ((k + 2, n - k - 1), (k + 1, n - k), (k, n - k + 1))
 
 

@@ -2,7 +2,8 @@
 
 A permutation of [n] = {1, ..., n} is a tuple of the values pi_1, ..., pi_n.
 Positions and values are both 1-based in every public set.  This is the
-bottom layer of the package: it imports no other baxlab module.
+bottom layer of the package: it imports no other baxlab module, and holds
+the rules for integers, sizes and words that every other module applies.
 """
 from __future__ import annotations
 
@@ -60,6 +61,19 @@ def _shown(p: Sequence[object], bad: int) -> str:
     return shown
 
 
+def _check_word(word: object, letters: str, what: str) -> None:
+    """The package's one word rule: raise ``ValueError`` unless word is a
+    ``str`` over ``letters``.  The message reads ``{what} over {letters!r}:``
+    and then the word, shown through :func:`_shown` so that a cut word names
+    its first bad letter; anything but a ``str`` is shown as ``reprlib.repr``
+    shows it."""
+    if not isinstance(word, str):
+        raise ValueError(f"{what} over {letters!r}: {reprlib.repr(word)}")
+    if sum(map(word.count, letters)) != len(word):
+        bad = next(i for i, c in enumerate(word) if c not in letters)
+        raise ValueError(f"{what} over {letters!r}: {_shown(word, bad)}")
+
+
 def _is_int(v: object) -> bool:
     """The package's one integer rule: an ``int`` proper.  ``True``, ``1.0``
     and instances of ``int`` subclasses are refused wherever it applies."""
@@ -71,8 +85,21 @@ def _all_ints(xs: Iterable[object]) -> bool:
     return {int}.issuperset(map(type, xs))
 
 
+def _check_size(name: str, v: object, least: int | None = 0, most: int | None = None) -> None:
+    """The package's one size rule: raise ``ValueError`` unless v passes
+    :func:`_is_int` and lies in least..most.  ``least=None`` applies the
+    integer rule alone; ``most=None`` leaves v unbounded above."""
+    if not _is_int(v):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(v)}")
+    if most is not None and not least <= v <= most:
+        raise ValueError(f"{name} must lie in {least}..{most}, got {v}")
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def all_permutations(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic order."""
+    """All of S_n in lexicographic order; S_0 holds the empty word."""
+    _check_size("n", n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -244,8 +271,7 @@ def iter_baxter(n: int) -> Iterator[Perm]:
     >>> list(iter_baxter(3))[:3]
     [(3, 2, 1), (2, 3, 1), (2, 1, 3)]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n, 1)
     if n == 1:
         yield (1,)
         return

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping
 
-from .perm import _descents, _is_int, inverse, iter_baxter
+from .perm import _check_size, _descents, _is_int, inverse, iter_baxter
 
 
 class InexactDivisionError(ArithmeticError):
@@ -162,6 +162,8 @@ def q_binomial(n: int, k: int) -> QPoly:
     >>> q_binomial(4, 2).terms()
     [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)]
     """
+    _check_size("n", n, None)
+    _check_size("k", k, None)
     if n < 0 or k < 0 or k > n:
         return QPoly()
     width = min(k, n - k)
@@ -170,15 +172,13 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 def catalan(n: int) -> int:
     """binomial(2n, n) / (n + 1), exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_size("n", n)
     return comb(2 * n, n) // (n + 1)
 
 
 def baxter_number(n: int) -> int:
     """Triple-binomial sum divided by binomial(n+1,1) * binomial(n+1,2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n, 1)
     num = sum(comb(n + 1, k) * comb(n + 1, k + 1) * comb(n + 1, k + 2) for k in range(n))
     den = comb(n + 1, 1) * comb(n + 1, 2)
     q, r = divmod(num, den)
@@ -189,8 +189,8 @@ def baxter_number(n: int) -> int:
 
 def tlp_count_formula(n: int, k: int) -> int:
     """The k-th summand of :func:`baxter_number`, individually an integer."""
-    if n < 1 or not 0 <= k <= n - 1:
-        raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got n={n}, k={k}")
+    _check_size("n", n, 1)
+    _check_size("k", k, 0, n - 1)
     num = comb(n + 1, k) * comb(n + 1, k + 1) * comb(n + 1, k + 2)
     den = comb(n + 1, 1) * comb(n + 1, 2)
     q, r = divmod(num, den)
@@ -212,8 +212,7 @@ def baxter_polynomial_rhs(n: int) -> TQPoly:
     cannot carry between slots, which holds once den(1) * quot(1) < 2^bits
     since every coefficient is non-negative.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n, 1)
     bits = 3 * (n + 1) + 8
     row = _pascal_row(n + 1, n + 1, bits)
     den = row[1] * row[2]

@@ -178,7 +178,7 @@ def test_history_from_obj_accepts_int_subclass_weights():
         (
             triple_from_obj,
             with_path("middle", {"start": [1, 1], "steps": "V" * 99999 + "X"}),
-            "steps must be a word over 'HV': 'VVVVVVVVVVVV...VVVVVVVVVVVVX'",
+            "steps must be a word over 'HV': 'VVVVVVVVVVVV...VVVVVVVVVVVVX', entry 100000 is 'X'",
         ),
         (
             triple_from_obj,
@@ -200,8 +200,8 @@ def test_history_from_obj_accepts_int_subclass_weights():
 )
 def test_loader_messages_are_bounded(load, obj, message):
     # the value types name a bad word or weight list as reprlib.repr does,
-    # so a long malformed file still gives a one-line error; LaguerreHistory
-    # then names the first bad entry, as check_permutation does
+    # so a long malformed file still gives a one-line error; a cut word or
+    # weight list then names its first bad entry, as check_permutation does
     with pytest.raises(ValueError) as info:
         load(obj)
     assert str(info.value) == message

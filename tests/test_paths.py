@@ -80,6 +80,24 @@ def test_encode_set_rejects_out_of_range():
         encode_set({0}, 3)
     with pytest.raises(ValueError):
         encode_set({4}, 3)
+    # every message is one short line, whatever the size of s
+    for s, message in [
+        ([4, 0], "set elements [0, 4] fall outside 1..3"),
+        (
+            range(-10**5, 0),
+            "set elements [-100000, -99999, -99998, -99997, -99996, -99995, ...] fall outside 1..3",
+        ),
+        ([1.0, True], "set elements must be integers: [1.0, True]"),
+        (["a"], "set elements must be integers: ['a']"),
+        (
+            [1] * 99999 + [None],
+            "set elements must be integers: [1, 1, 1, 1, 1, 1, ...], entry 100000 is None",
+        ),
+        (3, "set must be an iterable of integers: 3"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            encode_set(s, 3)
+        assert str(info.value) == message
 
 
 def test_decode_path_golden():

@@ -1,10 +1,14 @@
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import baxlab
+from baxlab.harness import run_suite
 from baxlab.jsonio import history_from_obj, triple_from_obj, triple_to_obj
-from baxlab.laguerre import LaguerreHistory, LetterClass, classify_letters
-from baxlab.paths import PathTriple
+from baxlab.laguerre import LaguerreHistory, LetterClass, classify_letters, enumerate_histories
+from baxlab.paths import PathTriple, encode_set, enumerate_tlp, expected_endpoints
 from baxlab.perm import (
     InvalidPermutationError,
     all_permutations,
@@ -17,7 +21,16 @@ from baxlab.perm import (
     shape_flags,
     stat_profile,
 )
-from baxlab.qseries import QPoly, TQPoly
+from baxlab.qseries import (
+    QPoly,
+    TQPoly,
+    baxter_number,
+    baxter_polynomial_lhs,
+    baxter_polynomial_rhs,
+    catalan,
+    q_binomial,
+    tlp_count_formula,
+)
 from bfs_oracle import generate_baxter_bfs
 from core_oracles import descent_bottoms, descent_positions, descent_tops
 from fv_oracles import classify_letters_by_position, is_baxter_bruteforce
@@ -64,7 +77,34 @@ _INTEGER_ENTRY_POINTS = {
     "TQPoly t-degree": lambda v: TQPoly({(v, 0): 1}),
     "TQPoly q-degree": lambda v: TQPoly({(0, v): 1}),
     "TQPoly coefficient": lambda v: TQPoly({(0, 0): v}),
+    # every size parameter, named "<function> <parameter>", at a value where
+    # 1 is valid; list() runs the generators far enough to reach the rule
+    "all_permutations n": lambda v: list(all_permutations(v)),
+    "iter_baxter n": lambda v: list(iter_baxter(v)),
+    "generate_baxter n": lambda v: generate_baxter(v),
+    "expected_endpoints n": lambda v: expected_endpoints(v, 0),
+    "expected_endpoints k": lambda v: expected_endpoints(2, v),
+    "enumerate_tlp n": lambda v: list(enumerate_tlp(v, 0)),
+    "enumerate_tlp k": lambda v: list(enumerate_tlp(2, v)),
+    "encode_set length": lambda v: encode_set([1], v),
+    "encode_set elements": lambda v: encode_set([v], 1),
+    "enumerate_histories length": lambda v: list(enumerate_histories(v)),
+    "q_binomial n": lambda v: q_binomial(v, 0),
+    "q_binomial k": lambda v: q_binomial(2, v),
+    "catalan n": lambda v: catalan(v),
+    "baxter_number n": lambda v: baxter_number(v),
+    "tlp_count_formula n": lambda v: tlp_count_formula(v, 0),
+    "tlp_count_formula k": lambda v: tlp_count_formula(2, v),
+    "baxter_polynomial_rhs n": lambda v: baxter_polynomial_rhs(v),
+    "baxter_polynomial_lhs n": lambda v: baxter_polynomial_lhs(v),
+    "run_suite n": lambda v: run_suite("counts", v),
+    "run_suite jobs": lambda v: run_suite("counts", 1, jobs=v),
 }
+
+# the size parameters of the public API, which the table must cover
+_SIZE_PARAMETERS = ("n", "k", "length", "jobs")
+# Report is the record run_suite returns, its n checked there
+_RECORD_FIELDS = {"Report n"}
 
 
 def _accepts(entry_point, v):
@@ -85,6 +125,24 @@ def test_one_integer_rule_at_every_entry_point(value, accepted):
     # subclass are refused wherever the package takes an integer
     verdicts = {name: _accepts(f, value) for name, f in _INTEGER_ENTRY_POINTS.items()}
     assert verdicts == dict.fromkeys(_INTEGER_ENTRY_POINTS, accepted)
+
+
+def test_every_size_parameter_takes_the_integer_rule():
+    # a public callable with a parameter named n, k, length or jobs needs a
+    # row in _INTEGER_ENTRY_POINTS, so a new entry point cannot skip the rule
+    missing = []
+    for name in baxlab.__all__:
+        obj = getattr(baxlab, name)
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # not callable, or an exception type or alias without one
+            continue
+        missing += [
+            f"{name} {p}"
+            for p in parameters
+            if p in _SIZE_PARAMETERS and f"{name} {p}" not in {*_INTEGER_ENTRY_POINTS, *_RECORD_FIELDS}
+        ]
+    assert missing == []
 
 
 def test_inverse_against_position_of_value():

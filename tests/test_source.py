@@ -57,11 +57,13 @@ def _baxlab_imports(tree):
 
 def test_perm_is_the_bottom_layer():
     # every other module may build on perm, so perm builds on none of them;
-    # paths stands beside it, and laguerre sits directly on top of it
+    # paths and laguerre sit directly on top of it, so perm is the one root
     imports = {name: _baxlab_imports(tree) for name, tree in _package_trees().items()}
     assert imports["perm"] == set()
-    assert imports["paths"] == set()
+    assert imports["paths"] == {"perm"}
     assert imports["laguerre"] == {"perm"}
+    roots = [name for name, found in imports.items() if name != "__init__" and not found]
+    assert roots == ["perm"]
 
 
 # (module, function, imported module): the one import allowed inside a
