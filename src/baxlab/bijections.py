@@ -23,9 +23,9 @@ import reprlib
 from itertools import accumulate
 from operator import sub
 
-from .laguerre import LaguerreHistory, MalformedHistoryError, _psi_fv_inverse, _validity
+from .laguerre import LaguerreHistory, _check_bounds, _psi_fv_inverse
 from .paths import PathTriple, _h_bytes, tlp_parameters
-from .perm import Perm, _is_baxter, check_permutation, inverse
+from .perm import Perm, _inverse, _is_baxter, check_permutation
 
 
 class NotBaxterError(ValueError):
@@ -70,15 +70,15 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     check_permutation(p)
     if checked:
         _check_baxter(p)
-    return PathTriple(*_gamma_words(p, inverse(p)))
+    return PathTriple(*_gamma_words(p, _inverse(p)))
 
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (DB, IDES, DT - 1); equals ``gamma`` of the inverse."""
-    check_permutation(p)  # before inverse() indexes by value
+    check_permutation(p)  # before _inverse() indexes by value
     if checked:
         _check_baxter(p)  # p is Baxter iff its inverse is
-    return PathTriple(*_gamma_words(inverse(p), p))
+    return PathTriple(*_gamma_words(_inverse(p), p))
 
 
 def phi(h: LaguerreHistory) -> PathTriple:
@@ -91,10 +91,10 @@ def phi(h: LaguerreHistory) -> PathTriple:
     bottom's), and at the end h_mid = h_bot.  If consecutive counts do not
     differ by 0 or 1 the weights violate the increment rules and a
     :class:`MalformedMiddleError` is raised.  The weight bounds
-    1 <= mu_i <= h_i keep h_top <= h_mid <= h_bot, so the triple is disjoint.
+    1 <= mu_i <= h_i, checked as ``psi_fv_inverse`` checks them, keep
+    h_top <= h_mid <= h_bot, so the triple is disjoint.
     """
-    if not _validity(h.word, h.weights).laguerre_ok:
-        raise MalformedHistoryError("weights leave their bounds or word does not close")
+    _check_bounds(h.word, h.weights)
     return PathTriple(*_phi(h.word, h.weights))
 
 
@@ -172,7 +172,7 @@ def psi(p: Perm) -> PathTriple:
     """
     check_permutation(p)
     _check_baxter(p)
-    return PathTriple(*_psi_words(p, inverse(p)))
+    return PathTriple(*_psi_words(p, _inverse(p)))
 
 
 def _psi_words(p: Perm, q: Perm) -> tuple[str, str, str]:
@@ -236,4 +236,4 @@ def _gamma_prime_inverse(bottom: str, middle: str, top: str) -> Perm:
 
 def gamma_inverse(t: PathTriple) -> Perm:
     """Invert ``gamma`` via ``gamma_prime`` and the closure under inversion."""
-    return inverse(gamma_prime_inverse(t))
+    return _inverse(gamma_prime_inverse(t))

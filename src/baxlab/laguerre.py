@@ -68,16 +68,33 @@ _D_BYTES = bytes(c == ord("D") for c in range(256))
 def height_profile(word: str) -> tuple[int, ...]:
     """h_i = 1 + (#U - #D among the steps before step i).
 
+    Raises ``ValueError`` unless word is a ``str`` over :data:`LETTERS`.
+
     >>> height_profile("URUDDBUD")
     (1, 2, 2, 3, 2, 1, 1, 2)
     """
-    steps = word.encode("ascii", "replace")  # one byte per letter
+    _check_word(word, LETTERS, "word must be")
+    return _height_profile(word)
+
+
+def _height_profile(word: str) -> tuple[int, ...]:
+    """:func:`height_profile` of a word over :data:`LETTERS`, unchecked."""
+    steps = word.encode()  # one byte per letter
     moves = map(sub, steps.translate(_U_BYTES), steps.translate(_D_BYTES))
     return tuple(accumulate(moves, initial=1))[:-1]
 
 
 def is_motzkin_word(word: str) -> bool:
-    """True iff the path never dips below height 0 and returns to it."""
+    """True iff the path never dips below height 0 and returns to it.
+
+    Raises ``ValueError`` unless word is a ``str`` over :data:`LETTERS`.
+    """
+    _check_word(word, LETTERS, "word must be")
+    return _is_motzkin_word(word)
+
+
+def _is_motzkin_word(word: str) -> bool:
+    """:func:`is_motzkin_word` of a word over :data:`LETTERS`, unchecked."""
     h = 0
     for c in word:
         if c == "U":
@@ -275,8 +292,8 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
 
     and the one placeholder left at the end becomes n.  Each U adds a
     placeholder and each D removes one, so there are h_i of them before
-    step i (:func:`height_profile`) and 1 + #U - #D at the end; a history
-    that passes :func:`validate` can never run out.
+    step i (:func:`height_profile`) and 1 + #U - #D at the end;
+    :func:`_check_bounds` refuses a history that would run out or leave more.
 
     The permutation is kept as a linked list of its letters, headed by a
     virtual letter 0.  Placeholders are never adjacent, so each open one is
@@ -285,20 +302,23 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
     reads the permutation.  The names are listed right to left, so the
     mu_i-th placeholder is entry h_i - mu_i of that list, and since weights
     stay small each insertion or deletion moves only its last few entries.
-
-    The bounds are checked in C-level passes over the weights and heights.
-    Only a history that fails them is walked step by step, to name its
-    first failing step.
     """
-    heights = height_profile(h.word)
-    if min(h.weights, default=1) < 1 or not all(map(le, h.weights, heights)):
-        for i, (mu, holes) in enumerate(zip(h.weights, heights), start=1):
+    _check_bounds(h.word, h.weights)
+    return _psi_fv_inverse(h.word, h.weights)
+
+
+def _check_bounds(word: str, weights: Sequence[int]) -> None:
+    """Raise :class:`MalformedHistoryError` unless 1 <= mu_i <= h_i at each
+    step and the word closes, in C-level passes; only a history that fails
+    them is walked step by step, to name its first failing step."""
+    heights = _height_profile(word)
+    if min(weights, default=1) < 1 or not all(map(le, weights, heights)):
+        for i, (mu, holes) in enumerate(zip(weights, heights), start=1):
             if not 1 <= mu <= holes:
                 raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
-    holes = 1 + h.word.count("U") - h.word.count("D")
+    holes = 1 + word.count("U") - word.count("D")
     if holes != 1:
         raise MalformedHistoryError(f"{holes} placeholders remain at the end")
-    return _psi_fv_inverse(h.word, h.weights)
 
 
 def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
@@ -334,8 +354,8 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
 def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The (word, weights) pairs of :func:`enumerate_histories`, in its order."""
     _check_size("length", length)
-    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
-        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
+    for word in filter(_is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
+        for weights in product(*[range(1, h + 1) for h in _height_profile(word)]):
             yield word, weights
 
 

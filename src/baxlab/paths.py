@@ -40,7 +40,16 @@ def encode_set(s: Iterable[int], length: int) -> str:
 
 
 def decode_path(steps: str) -> frozenset[int]:
-    """Positions of the horizontal steps; inverse of :func:`encode_set`."""
+    """Positions of the horizontal steps; inverse of :func:`encode_set`.
+
+    Raises ``ValueError`` unless steps is a ``str`` over H and V.
+    """
+    _check_word(steps, "HV", "steps must be a word")
+    return _decode_path(steps)
+
+
+def _decode_path(steps: str) -> frozenset[int]:
+    """:func:`decode_path` of a word over H and V, unchecked."""
     return frozenset(i for i, c in enumerate(steps, start=1) if c == "H")
 
 

@@ -18,25 +18,28 @@ class InvalidPermutationError(ValueError):
     """The given word is not a permutation of {1, ..., n}."""
 
 
-def as_permutation(word: Iterable[int]) -> Perm:
-    """Validate a word and return it as a permutation tuple.
+def as_permutation(word: Sequence[int]) -> Perm:
+    """Validate a sequence and return it as a permutation tuple.
 
     >>> as_permutation([2, 1, 3])
     (2, 1, 3)
     """
-    p = tuple(word)
+    p = tuple(word) if isinstance(word, Sequence) else word
     check_permutation(p)
     return p
 
 
 def check_permutation(p: Perm) -> None:
-    """Raise unless p is non-empty and holds exactly the integers 1..len(p).
+    """Raise unless p is a non-empty sequence of exactly the integers 1..len(p).
 
-    Every entry must pass :func:`_is_int`: ``True`` and ``1.0`` compare equal
+    A set, which has no order to read, an iterator and an ``int`` are
+    refused as not sequences.  Every entry must pass :func:`_is_int`: ``True`` and ``1.0`` compare equal
     to 1 but are not permutation entries.  The messages show p as
     ``reprlib.repr`` does, its first six entries, and name the first bad
     entry when that cuts p short.
     """
+    if not isinstance(p, Sequence):
+        raise InvalidPermutationError(f"a permutation must be a sequence: {reprlib.repr(p)}")
     if not p:
         raise InvalidPermutationError("a permutation must have length >= 1")
     if not _all_ints(p):
@@ -106,9 +109,18 @@ def all_permutations(n: int) -> Iterator[Perm]:
 def inverse(p: Perm) -> Perm:
     """The group inverse: the word q with q[p_i] = i.
 
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
+
     >>> inverse((2, 3, 5, 4, 1, 9, 7, 8, 6))
     (5, 1, 2, 4, 3, 9, 7, 8, 6)
     """
+    check_permutation(p)
+    return _inverse(p)
+
+
+def _inverse(p: Perm) -> Perm:
+    """:func:`inverse` of a permutation of 1..len(p), unchecked."""
     q = [0] * len(p)
     for i, v in enumerate(p, start=1):
         q[v - 1] = i
@@ -158,7 +170,7 @@ def stat_profile(p: Perm) -> StatProfile:
     """
     check_permutation(p)
     des, dt, db = _descents(p)
-    ides, idt, idb = _descents(inverse(p))
+    ides, idt, idb = _descents(_inverse(p))
     dt_set = frozenset(dt)
     return StatProfile(
         des_set=frozenset(des),
@@ -302,7 +314,16 @@ def shape_flags(p: Perm) -> ShapeFlags:
     [n-1], reverse alternating at the odd ones.  Genocchi uses the pointwise
     rule: every step descends exactly when its left letter is even.  For
     n = 1 there is nothing to compare, so all three flags are vacuously true.
+
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
     """
+    check_permutation(p)
+    return _shape_flags(p)
+
+
+def _shape_flags(p: Perm) -> ShapeFlags:
+    """:func:`shape_flags` of a permutation of 1..len(p), unchecked."""
     down = [a > b for a, b in itertools.pairwise(p)]  # entry i-1: is i a descent?
     odd, even = down[::2], down[1::2]
     return ShapeFlags(

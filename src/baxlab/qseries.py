@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping
 
-from .perm import _check_size, _descents, _is_int, inverse, iter_baxter
+from .perm import _check_size, _descents, _inverse, _is_int, iter_baxter
 
 
 class InexactDivisionError(ArithmeticError):
@@ -236,7 +236,7 @@ def baxter_polynomial_lhs(n: int) -> TQPoly:
     acc: dict[tuple[int, int], int] = {}
     for p in iter_baxter(n):
         des = _descents(p)[0]
-        _, idt, idb = _descents(inverse(p))
+        _, idt, idb = _descents(_inverse(p))
         # des, maj, imaj_b and imaj_t as perm.StatProfile defines them
         key = (len(des), sum(des) + sum(idb) + sum(idt) - len(idt))
         acc[key] = acc.get(key, 0) + 1

@@ -14,10 +14,11 @@ from bisect import bisect_left, bisect_right, insort
 from math import comb
 
 from baxlab.bijections import MalformedMiddleError
-from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
+from baxlab.laguerre import LaguerreHistory, Validity, height_profile
 from baxlab.paths import PathTriple, h_prefix
 from baxlab.perm import StatProfile, inverse
 from baxlab.qseries import QPoly, TQPoly, exact_div
+from fv_oracles import psi_fv_inverse_by_rescan
 
 
 def descent_positions(p):
@@ -126,10 +127,11 @@ _TOP_STEPS = str.maketrans("DBUR", "HHVV")
 
 
 def phi_by_prefix_counts(word, weights):
-    """phi of a history: the laguerre check, then the middle path's H-prefix
-    counts 1 + h_bot(i) - mu_i, closed by h_mid = h_bot at the end."""
-    if not validity_by_profile(word, weights).laguerre_ok:
-        raise MalformedHistoryError("weights leave their bounds or word does not close")
+    """phi of a history: the bounds check of the placeholder rescan, which
+    raises on a history that runs out of placeholders or leaves more than
+    one, then the middle path's H-prefix counts 1 + h_bot(i) - mu_i, closed
+    by h_mid = h_bot at the end."""
+    psi_fv_inverse_by_rescan(LaguerreHistory(word, weights))
     bottom = word.translate(_BOTTOM_STEPS)
     hb = h_prefix(bottom)
     hm = [1 + b - w for b, w in zip(hb, weights)]

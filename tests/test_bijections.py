@@ -288,7 +288,7 @@ def test_psi_does_not_validate_the_history_it_builds(monkeypatch):
     def refuse(*args):
         raise AssertionError("a history was validated")
 
-    for module, name in ((laguerre, "validate"), (laguerre, "_validity"), (bijections, "_validity")):
+    for module, name in ((laguerre, "validate"), (laguerre, "_validity"), (bijections, "_check_bounds")):
         monkeypatch.setattr(module, name, refuse)
     assert psi(EX9_INV) == PSI_TRIPLE
 

@@ -68,8 +68,28 @@ def test_height_profile_golden():
     assert height_profile("URUDDBUD") == (1, 2, 2, 3, 2, 1, 1, 2)
     assert height_profile("") == ()
     assert height_profile("UD") == (1, 2)
-    # letters other than U and D, ASCII or not, leave the height alone
-    assert height_profile("XUé D") == (1, 1, 2, 2, 2)
+    # letters other than U, D, B and R, ASCII or not, are refused; they used
+    # to leave the height alone
+    with pytest.raises(ValueError) as info:
+        height_profile("XUé D")
+    assert str(info.value) == "word must be over 'UDBR': 'XUé D'"
+
+
+@pytest.mark.parametrize("reader", [height_profile, is_motzkin_word])
+def test_word_readers_reject_foreign_letters(reader):
+    # every message is one short line that names the bad letter
+    for word, message in [
+        ("UXD", "word must be over 'UDBR': 'UXD'"),
+        ("ud", "word must be over 'UDBR': 'ud'"),
+        (123, "word must be over 'UDBR': 123"),
+        (
+            "U" * 99_999 + "x",
+            "word must be over 'UDBR': 'UUUUUUUUUUUU...UUUUUUUUUUUUx', entry 100000 is 'x'",
+        ),
+    ]:
+        with pytest.raises(ValueError) as info:
+            reader(word)
+        assert str(info.value) == message
 
 
 def test_is_motzkin_word():

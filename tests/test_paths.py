@@ -100,6 +100,21 @@ def test_encode_set_rejects_out_of_range():
         assert str(info.value) == message
 
 
+def test_decode_path_rejects_foreign_letters():
+    # every message is one short line that names the bad letter
+    for steps, message in [
+        ("HXhH", "steps must be a word over 'HV': 'HXhH'"),
+        (123, "steps must be a word over 'HV': 123"),
+        (
+            "H" * 99_999 + "x",
+            "steps must be a word over 'HV': 'HHHHHHHHHHHH...HHHHHHHHHHHHx', entry 100000 is 'x'",
+        ),
+    ]:
+        with pytest.raises(ValueError) as info:
+            decode_path(steps)
+        assert str(info.value) == message
+
+
 def test_decode_path_golden():
     assert decode_path(EX9_TOP) == frozenset({3, 4, 7, 8})
     assert decode_path("VVV") == frozenset()

@@ -5,10 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import baxlab
+from baxlab.bijections import gamma, gamma_prime, psi
 from baxlab.harness import run_suite
 from baxlab.jsonio import history_from_obj, triple_from_obj, triple_to_obj
-from baxlab.laguerre import LaguerreHistory, LetterClass, classify_letters, enumerate_histories
-from baxlab.paths import PathTriple, encode_set, enumerate_tlp, expected_endpoints
+from baxlab.laguerre import (
+    LaguerreHistory,
+    LetterClass,
+    classify_letters,
+    enumerate_histories,
+    height_profile,
+    is_motzkin_word,
+    psi_fv,
+)
+from baxlab.paths import PathTriple, decode_path, encode_set, enumerate_tlp, expected_endpoints
 from baxlab.perm import (
     InvalidPermutationError,
     all_permutations,
@@ -145,6 +154,71 @@ def test_every_size_parameter_takes_the_integer_rule():
     assert missing == []
 
 
+# every public reader of a permutation, each fed the value of its parameter p
+_PERMUTATION_READERS = {
+    "inverse": inverse,
+    "shape_flags": shape_flags,
+    "stat_profile": stat_profile,
+    "is_baxter": is_baxter,
+    "psi_fv": psi_fv,
+    "classify_letters": classify_letters,
+    "gamma": gamma,
+    "gamma_prime": gamma_prime,
+    "psi": psi,
+}
+
+# every public reader of a word, each fed the value of its parameter word or steps
+_WORD_READERS = {
+    "as_permutation": as_permutation,
+    "LaguerreHistory": lambda word: LaguerreHistory(word, ()),
+    "height_profile": height_profile,
+    "is_motzkin_word": is_motzkin_word,
+    "decode_path": decode_path,
+}
+
+
+def _refuses(reader, value, error):
+    """Whether reader(value) raises error; a TypeError or AttributeError is
+    not a refusal, nor is an answer."""
+    try:
+        reader(value)
+    except Exception as exc:
+        return isinstance(exc, error)
+    return False
+
+
+def test_every_reader_takes_the_permutation_and_word_rules():
+    # a repeated entry, a non-sequence and a set (which has no order) are not
+    # permutations; a non-str and a foreign letter are not words
+    accepted = [
+        f"{name} {p!r}"
+        for name, reader in _PERMUTATION_READERS.items()
+        for p in [(2, 2), 5, {1, 2}]
+        if not _refuses(reader, p, InvalidPermutationError)
+    ]
+    accepted += [
+        f"{name} {word!r}"
+        for name, reader in _WORD_READERS.items()
+        for word in [123, "X"]
+        if not _refuses(reader, word, ValueError)
+    ]
+    assert accepted == []
+    # a public callable with a parameter named p, word or steps needs a row
+    # in the table of its rule, so a new reader cannot skip the rule
+    missing = []
+    for name in baxlab.__all__:
+        try:
+            parameters = inspect.signature(getattr(baxlab, name)).parameters
+        except (TypeError, ValueError):  # not callable, or an exception type or alias without one
+            continue
+        if "p" in parameters and name not in _PERMUTATION_READERS:
+            missing.append(f"{name} p")
+        missing += [
+            f"{name} {w}" for w in ("word", "steps") if w in parameters and name not in _WORD_READERS
+        ]
+    assert missing == []
+
+
 def test_inverse_against_position_of_value():
     # independent oracle: the position of each value, assembled by search
     oracle = tuple(EX9.index(v) + 1 for v in range(1, 10))
@@ -273,7 +347,7 @@ def test_classify_letters_matches_the_position_table():
             assert classify_letters(p) == classify_letters_by_position(p), p
 
 
-@pytest.mark.parametrize("fn", [stat_profile, classify_letters])
+@pytest.mark.parametrize("fn", [stat_profile, classify_letters, inverse, shape_flags])
 @pytest.mark.parametrize(
     "word, message",
     [
@@ -301,8 +375,10 @@ def test_statistics_reject_words_that_are_not_permutations(fn, word, message):
             "not a permutation of 1..100000: (1, 2, 3, 4, 5, 6, ...), entry 100000 is 99999",
         ),
         ((2, 1, 0, 3), "not a permutation of 1..4: (2, 1, 0, 3)"),
+        (5, "a permutation must be a sequence: 5"),
+        ({1, 2}, "a permutation must be a sequence: {1, 2}"),
     ],
-    ids=["float-first", "repeat-last", "uncut"],
+    ids=["float-first", "repeat-last", "uncut", "int", "set"],
 )
 def test_large_words_get_short_messages_naming_the_first_bad_entry(word, message):
     with pytest.raises(InvalidPermutationError) as exc:
