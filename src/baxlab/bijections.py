@@ -25,7 +25,7 @@ from operator import sub
 
 from .laguerre import LaguerreHistory, _check_bounds, _psi_fv_inverse
 from .paths import PathTriple, _h_bytes, tlp_parameters
-from .perm import Perm, _inverse, _is_baxter, check_permutation
+from .perm import Perm, _inverse, _is_baxter, inverse
 
 
 class NotBaxterError(ValueError):
@@ -67,18 +67,18 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     Baxter test is skipped and the paths are built for any permutation, but
     they may then intersect or carry unequal step counts.
     """
-    check_permutation(p)
+    q = inverse(p)  # checks p
     if checked:
         _check_baxter(p)
-    return PathTriple(*_gamma_words(p, _inverse(p)))
+    return PathTriple(*_gamma_words(p, q))
 
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     """Triple encoding (DB, IDES, DT - 1); equals ``gamma`` of the inverse."""
-    check_permutation(p)  # before _inverse() indexes by value
+    q = inverse(p)  # checks p
     if checked:
         _check_baxter(p)  # p is Baxter iff its inverse is
-    return PathTriple(*_gamma_words(_inverse(p), p))
+    return PathTriple(*_gamma_words(q, p))
 
 
 def phi(h: LaguerreHistory) -> PathTriple:
@@ -170,9 +170,9 @@ def psi(p: Perm) -> PathTriple:
     The words are read off the descent sets; the lemma that they equal
     ``phi`` of ``psi_fv(p)`` is what ``verify --suite lemma-encodings`` checks.
     """
-    check_permutation(p)
+    q = inverse(p)  # checks p
     _check_baxter(p)
-    return PathTriple(*_psi_words(p, _inverse(p)))
+    return PathTriple(*_psi_words(p, q))
 
 
 def _psi_words(p: Perm, q: Perm) -> tuple[str, str, str]:

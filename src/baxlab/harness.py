@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
 from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
-from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _decode_path, _tlp_words
+from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
     _check_size,
@@ -127,7 +127,7 @@ def _check_psi_encoding(p: Perm) -> str | None:
     q = _inverse(p)
     _, dt, db = _descents(p)
     bottom, middle, top = _phi(*_psi_fv(p))
-    got = (_decode_path(bottom), _decode_path(middle), _decode_path(top))
+    got = (decode_path(bottom), decode_path(middle), decode_path(top))
     # DB, IDES and DT-hat as perm.StatProfile defines them
     want = (frozenset(db), frozenset(_descents(q)[0]), (frozenset(dt) | {p[-1]}) - {len(p)})
     if got != want:

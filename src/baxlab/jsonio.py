@@ -37,7 +37,7 @@ _STARTS = {"bottom": BOTTOM_START, "middle": MIDDLE_START, "top": TOP_START}
 
 def triple_to_obj(words: tuple[str, str, str]) -> dict:
     """A triple's (bottom, middle, top) words, a PathTriple or a plain tuple."""
-    paths = zip(_STARTS.items(), words)
+    paths = zip(_STARTS.items(), words, strict=True)
     return {name: {"start": list(start), "steps": steps} for (name, start), steps in paths}
 
 

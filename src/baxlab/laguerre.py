@@ -74,11 +74,6 @@ def height_profile(word: str) -> tuple[int, ...]:
     (1, 2, 2, 3, 2, 1, 1, 2)
     """
     _check_word(word, LETTERS, "word must be")
-    return _height_profile(word)
-
-
-def _height_profile(word: str) -> tuple[int, ...]:
-    """:func:`height_profile` of a word over :data:`LETTERS`, unchecked."""
     steps = word.encode()  # one byte per letter
     moves = map(sub, steps.translate(_U_BYTES), steps.translate(_D_BYTES))
     return tuple(accumulate(moves, initial=1))[:-1]
@@ -90,11 +85,6 @@ def is_motzkin_word(word: str) -> bool:
     Raises ``ValueError`` unless word is a ``str`` over :data:`LETTERS`.
     """
     _check_word(word, LETTERS, "word must be")
-    return _is_motzkin_word(word)
-
-
-def _is_motzkin_word(word: str) -> bool:
-    """:func:`is_motzkin_word` of a word over :data:`LETTERS`, unchecked."""
     h = 0
     for c in word:
         if c == "U":
@@ -311,7 +301,7 @@ def _check_bounds(word: str, weights: Sequence[int]) -> None:
     """Raise :class:`MalformedHistoryError` unless 1 <= mu_i <= h_i at each
     step and the word closes, in C-level passes; only a history that fails
     them is walked step by step, to name its first failing step."""
-    heights = _height_profile(word)
+    heights = height_profile(word)
     if min(weights, default=1) < 1 or not all(map(le, weights, heights)):
         for i, (mu, holes) in enumerate(zip(weights, heights), start=1):
             if not 1 <= mu <= holes:
@@ -354,8 +344,8 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
 def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The (word, weights) pairs of :func:`enumerate_histories`, in its order."""
     _check_size("length", length)
-    for word in filter(_is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
-        for weights in product(*[range(1, h + 1) for h in _height_profile(word)]):
+    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
+        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
             yield word, weights
 
 

@@ -45,11 +45,6 @@ def decode_path(steps: str) -> frozenset[int]:
     Raises ``ValueError`` unless steps is a ``str`` over H and V.
     """
     _check_word(steps, "HV", "steps must be a word")
-    return _decode_path(steps)
-
-
-def _decode_path(steps: str) -> frozenset[int]:
-    """:func:`decode_path` of a word over H and V, unchecked."""
     return frozenset(i for i, c in enumerate(steps, start=1) if c == "H")
 
 

@@ -33,10 +33,10 @@ def check_permutation(p: Perm) -> None:
     """Raise unless p is a non-empty sequence of exactly the integers 1..len(p).
 
     A set, which has no order to read, an iterator and an ``int`` are
-    refused as not sequences.  Every entry must pass :func:`_is_int`: ``True`` and ``1.0`` compare equal
-    to 1 but are not permutation entries.  The messages show p as
-    ``reprlib.repr`` does, its first six entries, and name the first bad
-    entry when that cuts p short.
+    refused as not sequences.  Every entry must pass :func:`_is_int`:
+    ``True`` and ``1.0`` compare equal to 1 but are not permutation entries.
+    The messages show p as ``reprlib.repr`` does, its first six entries, and
+    name the first bad entry when that cuts p short.
     """
     if not isinstance(p, Sequence):
         raise InvalidPermutationError(f"a permutation must be a sequence: {reprlib.repr(p)}")
@@ -168,9 +168,8 @@ def stat_profile(p: Perm) -> StatProfile:
     Raises :class:`InvalidPermutationError` unless p is a permutation of
     1..len(p).
     """
-    check_permutation(p)
+    ides, idt, idb = _descents(inverse(p))  # inverse checks p
     des, dt, db = _descents(p)
-    ides, idt, idb = _descents(_inverse(p))
     dt_set = frozenset(dt)
     return StatProfile(
         des_set=frozenset(des),

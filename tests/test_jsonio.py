@@ -121,6 +121,10 @@ def test_triple_round_trip():
     t = ex9_triple()
     assert triple_from_obj(triple_to_obj(t)) == t
     assert triple_from_obj(triple_to_obj(t), strict=True) == t
+    assert triple_to_obj(tuple(t)) == triple_to_obj(t)
+    for words in (t[:2], (*t, "VV")):  # exactly three words, none cut or dropped
+        with pytest.raises(ValueError, match="zip"):
+            triple_to_obj(words)
 
 
 def test_triple_strict_mode_names_disjointness():
