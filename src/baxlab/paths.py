@@ -95,7 +95,11 @@ def _h_bytes(steps: str) -> bytes:
 
 
 def h_prefix(steps: str) -> list[int]:
-    """h(i), the number of H steps among the first i steps, for i = 0..len(steps)."""
+    """h(i), the number of H steps among the first i steps, for i = 0..len(steps).
+
+    Raises ``ValueError`` unless steps is a ``str`` over H and V.
+    """
+    _check_word(steps, "HV", "steps must be a word")
     return list(accumulate(_h_bytes(steps), initial=0))
 
 

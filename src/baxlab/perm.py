@@ -248,7 +248,16 @@ def insertion_slots(p: Perm) -> tuple[int, ...]:
     left-to-right maximum and the first right-to-left one, so a forward scan
     up to n and a backward scan down to n give the two families, each in
     order and the first wholly left of the second.
+
+    Raises :class:`InvalidPermutationError` unless p is a permutation of
+    1..len(p).
     """
+    check_permutation(p)
+    return _insertion_slots(p)
+
+
+def _insertion_slots(p: Perm) -> tuple[int, ...]:
+    """:func:`insertion_slots` of a permutation of 1..len(p), unchecked."""
     n = len(p)
     slots = []
     top = 0
@@ -287,7 +296,7 @@ def iter_baxter(n: int) -> Iterator[Perm]:
         yield (1,)
         return
     for p in iter_baxter(n - 1):
-        for pos in insertion_slots(p):
+        for pos in _insertion_slots(p):
             yield p[: pos - 1] + (n,) + p[pos - 1 :]
 
 

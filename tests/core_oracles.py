@@ -3,22 +3,27 @@ descent sets built one generator at a time, each by its own helper here so
 that no oracle calls the descent pass it checks, the Baxter sweep that bisects
 again to insert, the Françon-Viennot map by the sorted-list sweep that the
 bitset and Fenwick sweeps replaced, history validity against a height
-profile, the middle path of ``phi`` and the weights of ``phi_inverse`` from
+profile, ``phi`` with its weight bounds held by a running placeholder count
+and its middle path from H-prefix counts, the weights of ``phi_inverse`` from
 H-prefix counts, the placeholder rebuild of ``psi_fv_inverse`` with its
 placeholders listed left to right, the path-triple word check run word by
 word, the step-word walk that recursed once per step, and the q-binomials
 and closed form built from dict-product ``QPoly`` arithmetic
-(:func:`poly_product`) with a checked long division."""
+(:func:`poly_product`) with a checked long division.
+
+No oracle here calls an oracle of ``fv_oracles``.  Within this file the
+descent-set helpers build :func:`stat_profile_by_sets`, and the closed form
+is built from :func:`q_binomial_by_division` rather than the library's
+``q_binomial``, whose packed rows the closed-form core shares."""
 import reprlib
 from bisect import bisect_left, bisect_right, insort
 from math import comb
 
 from baxlab.bijections import MalformedMiddleError
-from baxlab.laguerre import LaguerreHistory, Validity, height_profile
+from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
 from baxlab.paths import PathTriple, h_prefix
 from baxlab.perm import StatProfile, inverse
 from baxlab.qseries import QPoly, TQPoly, exact_div
-from fv_oracles import psi_fv_inverse_by_rescan
 
 
 def descent_positions(p):
@@ -127,11 +132,17 @@ _TOP_STEPS = str.maketrans("DBUR", "HHVV")
 
 
 def phi_by_prefix_counts(word, weights):
-    """phi of a history: the bounds check of the placeholder rescan, which
-    raises on a history that runs out of placeholders or leaves more than
-    one, then the middle path's H-prefix counts 1 + h_bot(i) - mu_i, closed
-    by h_mid = h_bot at the end."""
-    psi_fv_inverse_by_rescan(LaguerreHistory(word, weights))
+    """phi of a history: a running count of the placeholders, one at the
+    start, one more after each U and one fewer after each D, bounds every
+    weight and must end at one; then the middle path's H-prefix counts
+    1 + h_bot(i) - mu_i, closed by h_mid = h_bot at the end."""
+    holes = 1
+    for i, (c, mu) in enumerate(zip(word, weights), start=1):
+        if not 1 <= mu <= holes:
+            raise MalformedHistoryError(f"step {i}: weight {mu} but only {holes} placeholders")
+        holes += (c == "U") - (c == "D")
+    if holes != 1:
+        raise MalformedHistoryError(f"{holes} placeholders remain at the end")
     bottom = word.translate(_BOTTOM_STEPS)
     hb = h_prefix(bottom)
     hm = [1 + b - w for b, w in zip(hb, weights)]

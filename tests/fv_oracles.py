@@ -1,11 +1,9 @@
-"""The quadratic cores that the sorted-prefix sweeps and the placeholder tree
-replaced, kept as test oracles: the Baxter test by prefix and suffix scans,
-and the Françon-Viennot map and its inverse by rescanning the word; also the
-letter classes read off a position table, as ``classify_letters`` once did,
-and the Baxter pattern definition itself as a quadruple loop."""
+"""The quadratic cores that the placeholder tree and the sorted-prefix sweeps
+replaced, kept as test oracles: the Françon-Viennot map and its inverse by
+rescanning the word; also the letter classes read off a position table, as
+``classify_letters`` once did, and the Baxter pattern definition itself as a
+quadruple loop.  No oracle here calls another."""
 from baxlab.laguerre import LaguerreHistory, LetterClass, MalformedHistoryError
-
-_CLASS_TO_LETTER = {"valley": "U", "peak": "D", "double_descent": "B", "double_ascent": "R"}
 
 
 def classify_letters_by_position(p):
@@ -43,42 +41,22 @@ def is_baxter_bruteforce(p):
     return True
 
 
-def is_baxter_by_scan(p):
-    """For each adjacent pair, scan the prefix for the most extreme letter
-    in the pair's window and the suffix for a partner: O(n^2)."""
-    n = len(p)
-    for j in range(n - 1):
-        a, b = p[j], p[j + 1]
-        if a > b:
-            # 2-41-3: some earlier x and later y with b < x < y < a
-            best = None
-            for i in range(j):
-                if b < p[i] < a and (best is None or p[i] < best):
-                    best = p[i]
-            if best is not None and any(best < p[k] < a for k in range(j + 2, n)):
-                return False
-        else:
-            # 3-14-2: some earlier x and later y with a < y < x < b
-            best = None
-            for i in range(j):
-                if a < p[i] < b and (best is None or p[i] > best):
-                    best = p[i]
-            if best is not None and any(a < p[k] < best for k in range(j + 2, n)):
-                return False
-    return True
-
-
 def psi_fv_by_scan(p):
-    """Weight i counts, by a scan of the prefix, the descent pairs left of
-    i's position that straddle i in value."""
+    """Letter i is read off its two neighbours (0 past either end): U below
+    both, D above both, B below the left one only, R below the right one
+    only.  Weight i counts, by a scan of the prefix, the descent pairs left
+    of i's position that straddle i in value."""
     n = len(p)
     pos = {v: i for i, v in enumerate(p)}  # 0-based positions
-    word = "".join(_CLASS_TO_LETTER[c.value] for c in classify_letters_by_position(p))
+    word = []
     weights = []
     for i in range(1, n):
         k = pos[i]
+        left = p[k - 1] if k >= 1 else 0
+        right = p[k + 1] if k + 1 < n else 0
+        word.append("DRBU"[2 * (left > i) + (right > i)])
         weights.append(1 + sum(1 for j in range(1, k) if p[j] < i < p[j - 1]))
-    return LaguerreHistory(word, tuple(weights))
+    return LaguerreHistory("".join(word), tuple(weights))
 
 
 def psi_fv_inverse_by_rescan(h):

@@ -66,6 +66,11 @@ def test_lattice_path_validation():
 def test_h_prefix():
     assert h_prefix("") == [0]
     assert h_prefix("HVHVVHHV") == [0, 1, 1, 2, 2, 2, 3, 4, 4]
+    # a foreign letter's byte is not a count of H steps, and 123 is not a word
+    for steps in ["HX", 123]:
+        with pytest.raises(ValueError) as info:
+            h_prefix(steps)
+        assert str(info.value) == f"steps must be a word over 'HV': {steps!r}"
 
 
 def test_encode_set_golden():

@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 from hypothesis import given
@@ -17,11 +19,19 @@ from baxlab.laguerre import (
     is_motzkin_word,
     psi_fv,
 )
-from baxlab.paths import PathTriple, decode_path, encode_set, enumerate_tlp, expected_endpoints
+from baxlab.paths import (
+    PathTriple,
+    decode_path,
+    encode_set,
+    enumerate_tlp,
+    expected_endpoints,
+    h_prefix,
+)
 from baxlab.perm import (
     InvalidPermutationError,
     all_permutations,
     as_permutation,
+    check_permutation,
     generate_baxter,
     insertion_slots,
     inverse,
@@ -116,6 +126,20 @@ _SIZE_PARAMETERS = ("n", "k", "length", "jobs")
 _RECORD_FIELDS = {"Report n"}
 
 
+def _public_signatures():
+    """(name, parameters) of every public module-level callable that a
+    baxlab module defines, whether or not ``baxlab.__all__`` exports it."""
+    for info in pkgutil.iter_modules(baxlab.__path__):
+        module = importlib.import_module(f"baxlab.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue  # private, imported, or a constant
+            try:
+                yield name, inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # not callable, or a type without one
+                continue
+
+
 def _accepts(entry_point, v):
     try:
         entry_point(v)
@@ -139,24 +163,20 @@ def test_one_integer_rule_at_every_entry_point(value, accepted):
 def test_every_size_parameter_takes_the_integer_rule():
     # a public callable with a parameter named n, k, length or jobs needs a
     # row in _INTEGER_ENTRY_POINTS, so a new entry point cannot skip the rule
-    missing = []
-    for name in baxlab.__all__:
-        obj = getattr(baxlab, name)
-        try:
-            parameters = inspect.signature(obj).parameters
-        except (TypeError, ValueError):  # not callable, or an exception type or alias without one
-            continue
-        missing += [
-            f"{name} {p}"
-            for p in parameters
-            if p in _SIZE_PARAMETERS and f"{name} {p}" not in {*_INTEGER_ENTRY_POINTS, *_RECORD_FIELDS}
-        ]
+    missing = [
+        f"{name} {p}"
+        for name, parameters in _public_signatures()
+        for p in parameters
+        if p in _SIZE_PARAMETERS and f"{name} {p}" not in {*_INTEGER_ENTRY_POINTS, *_RECORD_FIELDS}
+    ]
     assert missing == []
 
 
 # every public reader of a permutation, each fed the value of its parameter p
 _PERMUTATION_READERS = {
+    "check_permutation": check_permutation,
     "inverse": inverse,
+    "insertion_slots": insertion_slots,
     "shape_flags": shape_flags,
     "stat_profile": stat_profile,
     "is_baxter": is_baxter,
@@ -174,6 +194,13 @@ _WORD_READERS = {
     "height_profile": height_profile,
     "is_motzkin_word": is_motzkin_word,
     "decode_path": decode_path,
+    "h_prefix": h_prefix,
+}
+
+# public callables with a parameter p that only write what the library built,
+# each with the reason it takes no rule
+_PERMUTATION_WRITERS = {
+    "perm_to_obj": "lists a permutation for JSON; perm_from_obj reads it back through as_permutation",
 }
 
 
@@ -206,12 +233,8 @@ def test_every_reader_takes_the_permutation_and_word_rules():
     # a public callable with a parameter named p, word or steps needs a row
     # in the table of its rule, so a new reader cannot skip the rule
     missing = []
-    for name in baxlab.__all__:
-        try:
-            parameters = inspect.signature(getattr(baxlab, name)).parameters
-        except (TypeError, ValueError):  # not callable, or an exception type or alias without one
-            continue
-        if "p" in parameters and name not in _PERMUTATION_READERS:
+    for name, parameters in _public_signatures():
+        if "p" in parameters and name not in {*_PERMUTATION_READERS, *_PERMUTATION_WRITERS}:
             missing.append(f"{name} p")
         missing += [
             f"{name} {w}" for w in ("word", "steps") if w in parameters and name not in _WORD_READERS
@@ -347,7 +370,9 @@ def test_classify_letters_matches_the_position_table():
             assert classify_letters(p) == classify_letters_by_position(p), p
 
 
-@pytest.mark.parametrize("fn", [stat_profile, classify_letters, inverse, shape_flags])
+@pytest.mark.parametrize(
+    "fn", [stat_profile, classify_letters, inverse, shape_flags, insertion_slots]
+)
 @pytest.mark.parametrize(
     "word, message",
     [
