@@ -38,7 +38,8 @@ def check_permutation(p: Perm) -> None:
     The messages show p as ``reprlib.repr`` does, its first six entries, and
     name the first bad entry when that cuts p short.
     """
-    if not isinstance(p, Sequence):
+    # tuple and list first: the same test, without the ABC's slower lookup
+    if not isinstance(p, (tuple, list, Sequence)):
         raise InvalidPermutationError(f"a permutation must be a sequence: {reprlib.repr(p)}")
     if not p:
         raise InvalidPermutationError("a permutation must have length >= 1")
@@ -253,11 +254,6 @@ def insertion_slots(p: Perm) -> tuple[int, ...]:
     1..len(p).
     """
     check_permutation(p)
-    return _insertion_slots(p)
-
-
-def _insertion_slots(p: Perm) -> tuple[int, ...]:
-    """:func:`insertion_slots` of a permutation of 1..len(p), unchecked."""
     n = len(p)
     slots = []
     top = 0
@@ -296,7 +292,7 @@ def iter_baxter(n: int) -> Iterator[Perm]:
         yield (1,)
         return
     for p in iter_baxter(n - 1):
-        for pos in _insertion_slots(p):
+        for pos in insertion_slots(p):
             yield p[: pos - 1] + (n,) + p[pos - 1 :]
 
 

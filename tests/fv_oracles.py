@@ -54,7 +54,14 @@ def psi_fv_by_scan(p):
         k = pos[i]
         left = p[k - 1] if k >= 1 else 0
         right = p[k + 1] if k + 1 < n else 0
-        word.append("DRBU"[2 * (left > i) + (right > i)])
+        if left > i and right > i:
+            word.append("U")
+        elif left < i and right < i:
+            word.append("D")
+        elif left > i > right:
+            word.append("B")
+        else:
+            word.append("R")
         weights.append(1 + sum(1 for j in range(1, k) if p[j] < i < p[j - 1]))
     return LaguerreHistory("".join(word), tuple(weights))
 
