@@ -89,10 +89,11 @@ def _bits(s: Iterable[int]) -> int:
     return sum(map((1).__lshift__, s))
 
 
-def _split_key(key: str) -> tuple[str, str, str]:
+def _split_key(key: bytes) -> tuple[str, str, str]:
     """The words of a triple keyed by their concatenation; they have equal lengths."""
     step = len(key) // 3
-    return key[:step], key[step : 2 * step], key[2 * step :]
+    words = key.decode()
+    return words[:step], words[step : 2 * step], words[2 * step :]
 
 
 # ---------------------------------------------------------------------------
@@ -249,44 +250,92 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
 # suites: each yields its checks in report order, a finished Check for a fold
 # it runs itself and a _Scan for run_suite to stream
 
+def _image_key(p: Perm) -> bytes:
+    """gamma(p) keyed by its concatenated words: equal lengths make the key
+    injective and order it as PathTriple orders the triple.
+
+    A key at n = 9 takes 64 bytes as bytes and 80 as a str: with str keys
+    ``verify --suite bijection --n 9`` peaked at 21.3 MiB, with bytes at
+    20.4 (ru_maxrss, Python 3.11), for one encode per key.
+    """
+    return "".join(_gamma_words(p, _inverse(p))).encode()
+
+
+def _statistic_key(p: Perm) -> int:
+    """(DT-1, IDES, DB) of p as bit masks len(p) bits apart, one small int;
+    no descent top is 1, so the mask of DT - 1 is DT's shifted down one."""
+    m = len(p)
+    _, dt, db = _descents(p)
+    return _bits(dt) >> 1 | _bits(_descents(_inverse(p))[0]) << m | _bits(db) << 2 * m
+
+
+def _first_with(m: int, key_of: Callable[[Perm], object], key: object) -> Perm:
+    """The first permutation of iter_baxter(m) with the given key.
+
+    The folds keep keys only; a failed check walks the level again to name
+    the permutation that held the key first.
+    """
+    return next(p for p in iter_baxter(m) if key_of(p) == key)
+
+
+def _image_mismatch(m: int, k: int, keys: set[bytes], count: int) -> str | None:
+    """Compare the triples with k horizontals per path against gamma's image.
+
+    keys holds the image of the whole level, count how many of them have k
+    horizontals.  The enumeration streams: each key must lie in the image,
+    have k horizontals and be greater than the key before it, which is the
+    documented order and makes the keys distinct, so ending at count keys
+    means the two sets are equal.  Only a failure builds the sets, to name
+    a witness.
+    """
+    streamed = 0
+    for words in _tlp_words(m, k):
+        key = "".join(words).encode()
+        if key not in keys or words[0].count("H") != k or (streamed and key <= prev):
+            break
+        prev = key
+        streamed += 1
+    else:
+        if streamed == count:
+            return None
+    enumerated = {"".join(w).encode() for w in _tlp_words(m, k)}
+    image = {key for key in keys if key.count(b"H", 0, m - 1) == k}
+    if enumerated == image:
+        return f"k={k}: enumeration is not strictly increasing at {_triple_json(words)}"
+    missing = enumerated - image
+    extra = image - enumerated
+    return (
+        f"k={k}: image misses {len(missing)} triples, adds {len(extra)}; "
+        f"first: {_triple_json(_split_key(min(missing or extra)))}"
+    )
+
+
 def _suite_bijection(n: int) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
-        # a triple is keyed by its concatenated words: equal lengths make the
-        # key injective and order it as PathTriple orders the triple; keyed
-        # by its word tuple instead, run_suite("bijection", 8) peaked 2.25 MiB
-        # higher (ru_maxrss 20.1-20.3 against 17.8-18.0 MiB, Python 3.11)
-        images: dict[int, dict[str, Perm]] = {}
+        # the image of the level as one set of keys and a count per k; a
+        # failure walks the level again to name a permutation
+        keys: set[bytes] = set()
+        counts = [0] * m
         failure = None
         for p in iter_baxter(m):
-            words = _gamma_words(p, _inverse(p))
-            key = "".join(words)
-            bucket = images.setdefault(words[0].count("H"), {})
-            if key in bucket:
+            key = _image_key(p)
+            if key in keys:
                 failure = (
-                    f"{_perm_json(p)} and {_perm_json(bucket[key])} share the image "
-                    f"{_triple_json(words)}"
+                    f"{_perm_json(p)} and {_perm_json(_first_with(m, _image_key, key))} "
+                    f"share the image {_triple_json(_split_key(key))}"
                 )
                 break
-            bucket[key] = p
-        total = 0
+            keys.add(key)
+            counts[key.count(b"H", 0, m - 1)] += 1
         if failure is None:
             for k in range(m):
-                enumerated = set(map("".join, _tlp_words(m, k)))
-                image = images.get(k, {})
-                if image.keys() != enumerated:
-                    missing = enumerated - image.keys()
-                    extra = image.keys() - enumerated
-                    witness = min(missing or extra)
-                    failure = (
-                        f"k={k}: image misses {len(missing)} triples, adds {len(extra)}; "
-                        f"first: {_triple_json(_split_key(witness))}"
-                    )
+                failure = _image_mismatch(m, k, keys, counts[k])
+                if failure is not None:
                     break
-                total += len(enumerated)
         yield Check(
             f"gamma-image-n{m}",
             failure is None,
-            failure or f"image is duplicate-free and exhausts all {total} triples",
+            failure or f"image is duplicate-free and exhausts all {len(keys)} triples",
         )
 
 
@@ -337,17 +386,15 @@ def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
         )
         if m > TLP_ENUM_LIMIT:
             continue
-        # the three subsets of 1..m-1 as bit masks m bits apart, one small int;
-        # no descent top is 1, so the mask of DT - 1 is DT's shifted down one
-        seen: dict[int, Perm] = {}
+        seen: set[int] = set()
         failure = None
         for p in iter_baxter(m):
-            _, dt, db = _descents(p)
-            key = _bits(dt) >> 1 | _bits(_descents(_inverse(p))[0]) << m | _bits(db) << 2 * m
+            key = _statistic_key(p)
             if key in seen:
-                failure = f"{_perm_json(seen[key])} and {_perm_json(p)} share (DT-1, IDES, DB)"
+                earlier = _first_with(m, _statistic_key, key)
+                failure = f"{_perm_json(earlier)} and {_perm_json(p)} share (DT-1, IDES, DB)"
                 break
-            seen[key] = p
+            seen.add(key)
         yield Check(
             f"statistic-injectivity-n{m}",
             failure is None,

@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -237,6 +238,66 @@ def test_image_folds_name_a_repeated_permutation(monkeypatch):
     checks = run_suite("lemma-encodings", 2).checks
     check = next(c for c in checks if c.label == "statistic-injectivity-n2")
     assert (check.passed, check.detail) == (False, "[2, 1] and [2, 1] share (DT-1, IDES, DB)")
+
+
+def _triple_detail(bottom, middle, top):
+    return (
+        f'{{"bottom": {{"start": [2, 0], "steps": "{bottom}"}}, '
+        f'"middle": {{"start": [1, 1], "steps": "{middle}"}}, '
+        f'"top": {{"start": [0, 2], "steps": "{top}"}}}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        # {A, A} in place of {A, B}: the count per k still agrees
+        (
+            {1: lambda w: [w[0], w[0], *w[2:]]},
+            "k=1: image misses 0 triples, adds 1; first: " + _triple_detail("HV", "HV", "VH"),
+        ),
+        # the triples of k = 0 and k = 2 swapped: each count still agrees
+        (
+            {0: lambda w: [("HH", "HH", "HH")], 2: lambda w: [("VV", "VV", "VV")]},
+            "k=0: image misses 1 triples, adds 1; first: " + _triple_detail("HH", "HH", "HH"),
+        ),
+        # the right set, against the documented order: once twice, once turned round
+        (
+            {1: lambda w: [w[0], *w]},
+            "k=1: enumeration is not strictly increasing at " + _triple_detail("HV", "HV", "HV"),
+        ),
+        (
+            {1: lambda w: [w[1], w[0], *w[2:]]},
+            "k=1: enumeration is not strictly increasing at " + _triple_detail("HV", "HV", "HV"),
+        ),
+    ],
+    ids=["repeated", "k-swapped", "twice", "turned-round"],
+)
+def test_gamma_image_fails_where_a_count_alone_would_pass(monkeypatch, change, detail):
+    real_words = harness._tlp_words
+
+    def tlp_words(m, k):
+        words = list(real_words(m, k))
+        return change[k](words) if m == 3 and k in change else words
+
+    monkeypatch.setattr(harness, "_tlp_words", tlp_words)
+    checks = run_suite("bijection", 4).checks
+    assert [c.passed for c in checks] == [True, True, False, True]
+    assert checks[2].detail == detail
+
+
+@pytest.mark.parametrize("suite, bound", [("bijection", 200), ("lemma-encodings", 110)])
+def test_image_folds_keep_keys_not_permutations(suite, bound):
+    # tracemalloc's peak per permutation of B_8 (10,754) on Pythons 3.10-3.13:
+    # 103-105 bytes (bijection) and 79-82 (lemma-encodings) with the folds
+    # keeping keys only, 284-310 and 142-145 while they kept each permutation
+    tracemalloc.start()
+    try:
+        run_suite(suite, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 10754 < bound
 
 
 def _corrupt_phi(monkeypatch, length, corrupt):

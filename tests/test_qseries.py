@@ -31,47 +31,6 @@ TLP_ROWS = {
 }
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_divmod_exact(num, den):
-    """List-based long division oracle; returns None unless the remainder vanishes."""
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    while num and len(num) >= len(den):
-        shift = len(num) - len(den)
-        c, r = divmod(num[-1], den[-1])
-        if r:
-            return None
-        quot[shift] = c
-        for i, v in enumerate(den):
-            num[shift + i] -= c * v
-        while num and num[-1] == 0:
-            num.pop()
-    if num:
-        return None
-    return quot
-
-
-def qbinom_oracle(n, k):
-    """Expand the factor products and divide once, entirely with lists."""
-    num = [1]
-    den = [1]
-    for i in range(1, k + 1):
-        num = poly_mul(num, [1] + [0] * (n - k + i - 1) + [-1])
-        den = poly_mul(den, [1] + [0] * (i - 1) + [-1])
-    quot = poly_divmod_exact(num, den)
-    assert quot is not None
-    return {d: c for d, c in enumerate(quot) if c}
-
-
 def test_qpoly_basics():
     zero = QPoly({0: 0, 3: 0})
     assert zero.terms() == [] and zero == QPoly()
@@ -134,12 +93,6 @@ def test_q_binomial_goldens():
         assert q_binomial(n, 0) == QPoly({0: 1})
     assert q_binomial(2, 5).terms() == []
     assert q_binomial(3, -1).terms() == []
-
-
-def test_q_binomial_matches_expansion_oracle():
-    for n in range(0, 9):
-        for k in range(0, n + 1):
-            assert dict(q_binomial(n, k).terms()) == qbinom_oracle(n, k), (n, k)
 
 
 def test_q_binomial_matches_the_division_oracle():
