@@ -12,15 +12,18 @@ import json
 import os
 import time
 from contextlib import nullcontext
+from itertools import product
 from math import comb
+from operator import le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
-from .laguerre import _histories, _psi_fv, _psi_fv_inverse, _validity
+from .laguerre import _histories, _history_ranks, _psi_fv, _psi_fv_inverse, _validity
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
+    _all_ints,
     _check_size,
     _descents,
     _inverse,
@@ -97,6 +100,130 @@ def _split_key(key: bytes) -> tuple[str, str, str]:
 
 
 # ---------------------------------------------------------------------------
+# the round trips verified in this run
+#
+# A forward scan that finds _psi_fv_inverse(_psi_fv(p)) == p has computed both
+# maps of the pair on p, and both are pure, so the reverse scan's check of
+# h = _psi_fv(p), _psi_fv(_psi_fv_inverse(h)) == h, would compute the same
+# two values again; likewise for _gamma_words and _gamma_prime_inverse.  So
+# each forward item that passes marks a key of its image, and the reverse
+# check passes an item whose key is marked.  Keys are exact and small
+# ranks, one bit each in a bitmap per size.  The forward side takes the
+# images as the cores return them; the reverse side reads a mark only for
+# an item that _histories or _tlp_words could yield, so any other item,
+# such as a faulty enumerator's, takes the direct path.  run_suite empties
+# the marks on entry and on exit.  A pool's workers mark their own and die
+# with the pool: a reverse item whose forward item went to another worker
+# is checked directly, so the report does not depend on the worker count.
+
+_history_levels: dict[int, tuple[dict, bytearray]] = {}  # by length: its _history_ranks, a bit per rank
+_triple_levels: dict[int, tuple[dict, bytearray]] = {}  # by step count: its _word_ranks, a bit per key
+
+
+def _forget_marks() -> None:
+    _history_levels.clear()
+    _triple_levels.clear()
+
+
+def _level(levels: dict, size: int, ranks: Callable[[int], tuple[dict, int]]) -> tuple[dict, bytearray]:
+    """The rank table and bitmap of one size, made on first use from
+    ranks(size), the table and its number of keys."""
+    level = levels.get(size)
+    if level is None:
+        table, keys = ranks(size)
+        level = levels[size] = (table, bytearray((keys + 7) // 8))
+    return level
+
+
+def _set_bit(bits: bytearray, key: int) -> None:
+    bits[key >> 3] |= 1 << (key & 7)
+
+
+def _bit(bits: bytearray, key: int) -> bool:
+    return bits[key >> 3] >> (key & 7) & 1 == 1
+
+
+def _history_rank(ranks: dict, word: str, weights: tuple[int, ...]) -> int:
+    """The position in _histories of a closed word with weights within
+    1..h_i, from the _history_ranks of its length."""
+    base, (_, strides) = ranks[word]
+    return base + sum(map(mul, weights, strides))
+
+
+def _mark_history(word: str, weights: tuple[int, ...]) -> None:
+    """Mark a history that _psi_fv returned and _validity passed."""
+    ranks, bits = _level(_history_levels, len(word), _history_ranks)
+    _set_bit(bits, _history_rank(ranks, word, weights))
+
+
+def _history_verified(history: tuple[str, tuple[int, ...]]) -> bool:
+    """True iff history is a pair that _histories yields, a tuple of a
+    closed word and a tuple of ints each within 1..h_i, and is marked."""
+    if type(history) is not tuple or len(history) != 2:
+        return False
+    word, weights = history
+    level = _history_levels.get(len(word)) if type(word) is str else None
+    entry = None if level is None else level[0].get(word)
+    if entry is None or type(weights) is not tuple or not _all_ints(weights):
+        return False
+    heights = entry[1][0]
+    if len(weights) != len(heights) or not all(map(le, weights, heights)) or (weights and min(weights) < 1):
+        return False
+    return _bit(level[1], _history_rank(level[0], word, weights))
+
+
+def _word_ranks(steps: int) -> tuple[dict[str, tuple[int, int, int]], int]:
+    """Per word of the given length over H and V, (base, size, rank): a
+    triple of such words with k H steps each has the key
+    base + (r_bottom * size + r_middle) * size + r_top.
+
+    rank numbers the size = C(steps, k) words with k H steps, and base
+    counts the size**3 triples of each smaller k, so the keys of the
+    triples with one k in each word fill range(keys) once; keys is returned
+    with the table.  The H/V bits of the three words would take 8**steps
+    keys, 2 MiB of bitmap at 8 steps against 90 KiB.
+    """
+    table = {}
+    base = 0
+    for k in range(steps + 1):
+        size = comb(steps, k)
+        words = (w for w in map("".join, product("HV", repeat=steps)) if w.count("H") == k)
+        for rank, word in enumerate(words):
+            table[word] = (base, size, rank)
+        base += size**3
+    return table, base
+
+
+def _triple_key(ranks: dict, words: tuple[str, str, str]) -> int | None:
+    """The key of three strs from the _word_ranks of their length, or None
+    unless each is a word there and all three have one count of H."""
+    bottom, middle, top = map(ranks.get, words)
+    if bottom is None or middle is None or top is None or not bottom[0] == middle[0] == top[0]:
+        return None
+    base, size, rank = bottom
+    return base + (rank * size + middle[2]) * size + top[2]
+
+
+def _mark_triple(words: tuple[str, str, str]) -> None:
+    """Mark a triple that _gamma_words returned, up to TLP_ENUM_LIMIT - 1 steps."""
+    if len(words[0]) < TLP_ENUM_LIMIT:
+        ranks, bits = _level(_triple_levels, len(words[0]), _word_ranks)
+        key = _triple_key(ranks, words)
+        if key is not None:
+            _set_bit(bits, key)
+
+
+def _triple_verified(words: tuple[str, str, str]) -> bool:
+    """True iff words is a triple that _tlp_words yields, a tuple of three
+    strs over H and V with one length and one count of H, and is marked."""
+    if type(words) is not tuple or len(words) != 3 or not {str}.issuperset(map(type, words)):
+        return False
+    level = _triple_levels.get(len(words[0]))
+    key = None if level is None else _triple_key(level[0], words)
+    return key is not None and _bit(level[1], key)
+
+
+# ---------------------------------------------------------------------------
 # per-item checkers (must stay top-level so worker processes can import them);
 # items the library's own generators produced go straight to the unchecked cores
 
@@ -109,12 +236,15 @@ def _check_fv(p: Perm) -> str | None:
         return f"round trip failed for {_perm_json(p)}"
     if val.baxter_ok != _is_baxter(p):
         return f"history/pattern disagreement for {_perm_json(p)}"
+    _mark_history(word, weights)
     return None
 
 
 def _check_gamma_prime_roundtrip(p: Perm) -> str | None:
-    if _gamma_prime_inverse(*_gamma_words(_inverse(p), p)) != p:
+    words = _gamma_words(_inverse(p), p)
+    if _gamma_prime_inverse(*words) != p:
         return f"round trip failed for {_perm_json(p)}"
+    _mark_triple(words)
     return None
 
 
@@ -139,6 +269,8 @@ def _check_psi_encoding(p: Perm) -> str | None:
 
 
 def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None:
+    if _history_verified(history):
+        return None
     word, weights = history
     if _psi_fv(_psi_fv_inverse(word, weights)) != history:
         return f"history {word}/{list(weights)} does not round trip"
@@ -146,6 +278,8 @@ def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None
 
 
 def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
+    if _triple_verified(words):
+        return None
     p = _gamma_prime_inverse(*words)
     if _gamma_words(_inverse(p), p) != words:
         return f"triple {_triple_json(words)} does not round trip"
@@ -550,13 +684,17 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     names = _SUITES if name == "all" else (name,)
     workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
-    with _Pool(workers) if workers > 1 else nullcontext() as pool:
-        imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
-        checks = tuple(
-            row if isinstance(row, Check) else _scan_check(row, imap)
-            for sub in names
-            for row in _SUITES[sub](n)
-        )
+    _forget_marks()
+    try:
+        with _Pool(workers) if workers > 1 else nullcontext() as pool:
+            imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
+            checks = tuple(
+                row if isinstance(row, Check) else _scan_check(row, imap)
+                for sub in names
+                for row in _SUITES[sub](n)
+            )
+    finally:
+        _forget_marks()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Report(name, n, checks, elapsed_ms)
 

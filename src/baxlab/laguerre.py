@@ -9,6 +9,7 @@ from __future__ import annotations
 import reprlib
 from enum import Enum
 from itertools import accumulate, product, starmap
+from math import prod
 from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -341,12 +342,59 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def _closed_words(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each closed Motzkin word of the given length with its
+    :func:`height_profile`, in lexicographic order of U < D < B < R.
+
+    A depth-first walk that extends a prefix only while it can still close:
+    with h one plus the path's height, as in the profile, a step that
+    leaves k steps to go must end at 1 <= h <= k + 1.  The stack holds at
+    most four prefixes per step.
+    """
+    stack = [("", (), 1)]  # (prefix, its heights, h after it), the next one last
+    while stack:
+        word, heights, h = stack.pop()
+        left = length - len(word)
+        if not left:
+            yield word, heights
+            continue
+        for c in reversed(LETTERS):
+            after = h + _STEP[c][0]
+            if 1 <= after <= left:
+                stack.append((word + c, (*heights, h), after))
+
+
 def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The (word, weights) pairs of :func:`enumerate_histories`, in its order."""
     _check_size("length", length)
-    for word in filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length))):
-        for weights in product(*[range(1, h + 1) for h in height_profile(word)]):
+    for word, heights in _closed_words(length):
+        for weights in product(*[range(1, h + 1) for h in heights]):
             yield word, weights
+
+
+def _history_ranks(length: int) -> tuple[dict[str, tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]], int]:
+    """Per closed word of the given length, (base, (heights, strides)): a
+    pair (word, weights) of :func:`_histories` comes at its position
+    base + sum(weights[i] * strides[i]).  Returned with the number of
+    histories, (length + 1)!.
+
+    The words come in order, and the weights of each word in lexicographic
+    order, so that position is the number of histories of the words before
+    plus the mixed-radix value of the digits mu_i - 1 to the bases h_i:
+    strides[i] is the product of the heights after step i.  Words with the
+    same heights share one (heights, strides) pair.
+    """
+    table = {}
+    profiles: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    first = 0
+    for word, heights in _closed_words(length):
+        profile = profiles.get(heights)
+        if profile is None:
+            strides = tuple(prod(heights[i + 1 :]) for i in range(length))
+            profile = profiles[heights] = (heights, strides)
+        table[word] = (first - sum(profile[1]), profile)
+        first += prod(heights)
+    return table, first
 
 
 def enumerate_histories(length: int) -> Iterator[LaguerreHistory]:

@@ -21,6 +21,7 @@ from baxlab.laguerre import (
     _TREE_FROM,
     LETTERS,
     LaguerreHistory,
+    _closed_words,
     _histories,
     _psi_fv,
     _psi_fv_by_bits,
@@ -241,3 +242,11 @@ def test_enumerate_histories_wraps_the_pairs():
         assert [(h.word, h.weights) for h in enumerate_histories(length)] == list(
             _histories(length)
         )
+
+
+def test_closed_words_match_the_filtered_product():
+    # the depth-first walk against its definition: every word over the
+    # letters, in order, kept when it closes, with its height profile
+    for length in range(9):
+        words = filter(is_motzkin_word, map("".join, product(LETTERS, repeat=length)))
+        assert list(_closed_words(length)) == [(w, height_profile(w)) for w in words], length

@@ -3,6 +3,8 @@ import io
 import json
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from math import factorial
 from pathlib import Path
 from unittest import mock
 
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 from baxlab import cli, harness, jsonio
 from baxlab.bijections import gamma, gamma_prime, psi
 from baxlab.harness import Check, render_ascii, run_suite
+from baxlab.laguerre import _histories, _history_ranks
 from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
 from baxlab.perm import all_permutations
-from baxlab.qseries import TQPoly
+from baxlab.qseries import TQPoly, baxter_number
 from vertex_oracles import vertices
 
 
@@ -298,6 +301,229 @@ def test_image_folds_keep_keys_not_permutations(suite, bound):
     finally:
         tracemalloc.stop()
     assert peak / 10754 < bound
+
+
+def _failures(suite, n):
+    return [(c.label, c.detail) for c in run_suite(suite, n).checks if not c.passed]
+
+
+def _marks_are_empty():
+    return not (harness._history_levels or harness._triple_levels)
+
+
+# psi_fv of (3, 1, 4, 5, 2), and gamma_prime's words of (2, 4, 3, 5, 1)
+_H0 = ("UBDR", (1, 2, 1, 1))
+_T0 = ("HVHV", "HVHV", "VVHH")
+
+
+def _break_psi_fv_inverse(monkeypatch):
+    """Make harness._psi_fv_inverse send _H0 to a wrong permutation."""
+    real = harness._psi_fv_inverse
+
+    def psi_fv_inverse(word, weights):
+        p = real(word, weights)
+        return p[::-1] if (word, tuple(weights)) == _H0 else p
+
+    monkeypatch.setattr(harness, "_psi_fv_inverse", psi_fv_inverse)
+
+
+def _break_gamma_prime_inverse(monkeypatch):
+    """Make harness._gamma_prime_inverse send _T0 to a wrong permutation."""
+    real = harness._gamma_prime_inverse
+
+    def gamma_prime_inverse(*words):
+        p = real(*words)
+        return p[::-1] if words == _T0 else p
+
+    monkeypatch.setattr(harness, "_gamma_prime_inverse", gamma_prime_inverse)
+
+
+@pytest.mark.parametrize(
+    "corrupt, want",
+    [
+        (
+            _break_psi_fv_inverse,
+            [
+                ("fv-roundtrip-n5", "round trip failed for [3, 1, 4, 5, 2]"),
+                ("history-roundtrip-len4", "history UBDR/[1, 2, 1, 1] does not round trip"),
+            ],
+        ),
+        (
+            _break_gamma_prime_inverse,
+            [
+                ("gamma-prime-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]"),
+                ("tlp-roundtrip-n5", f"triple {_triple_detail(*_T0)} does not round trip"),
+            ],
+        ),
+    ],
+    ids=["psi_fv_inverse", "gamma_prime_inverse"],
+)
+def test_a_wrong_inverse_fails_both_round_trips(monkeypatch, corrupt, want):
+    # the forward scan stops at the broken item, so its image is never
+    # marked and the reverse scan computes it; the details are those of a
+    # run that marks nothing
+    corrupt(monkeypatch)
+    assert _failures("roundtrip", 5) == want
+    assert _marks_are_empty()
+
+
+def test_no_mark_outlives_its_run(monkeypatch):
+    assert run_suite("roundtrip", 5).passed
+    assert _marks_are_empty()
+    # a mark left by a checker called outside a run is dropped on entry
+    harness._check_fv((3, 1, 4, 5, 2))
+    assert harness._history_levels
+    _break_psi_fv_inverse(monkeypatch)
+    assert ("history-roundtrip-len4", "history UBDR/[1, 2, 1, 1] does not round trip") in _failures(
+        "roundtrip", 5
+    )
+    assert _marks_are_empty()
+
+    def histories(length):
+        raise RuntimeError("stop")
+
+    # the forward scans have marked every level when the reverse one raises
+    monkeypatch.setattr(harness, "_histories", histories)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_suite("roundtrip", 5)
+    assert _marks_are_empty()
+
+
+def _append(monkeypatch, name, args, extra):
+    """Make the enumerator harness.<name> yield extra after its items for args."""
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *a: (*real(*a), extra) if a == args else real(*a))
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        # a weight above its bound, weights as a list, a pair as a list, an
+        # open word, and three weights for four steps
+        (("UDUD", (1, 3, 1, 1)), "history UDUD/[1, 3, 1, 1] does not round trip"),
+        (("UBDR", [1, 2, 1, 1]), "history UBDR/[1, 2, 1, 1] does not round trip"),
+        (["UBDR", (1, 2, 1, 1)], "history UBDR/[1, 2, 1, 1] does not round trip"),
+        (("UUDB", (1, 1, 1, 1)), "history UUDB/[1, 1, 1, 1] does not round trip"),
+        (("UBDR", (1, 2, 1)), "history UBDR/[1, 2, 1] does not round trip"),
+        # equal to a history, so it round trips either way
+        (("UBDR", (True, 2, True, True)), None),
+        (("URD", (1, 2, 1)), None),
+    ],
+)
+def test_a_faulty_history_enumerator_is_never_a_hit(monkeypatch, extra, want):
+    _append(monkeypatch, "_histories", (4,), extra)
+    assert _failures("roundtrip", 5) == ([] if want is None else [("history-roundtrip-len4", want)])
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        # words of unequal lengths, a list, and a triple that is no image
+        (("HV", "HV", "H"), ("HV", "HV", "H")),
+        (["HV", "HV", "HV"], ("HV", "HV", "HV")),
+        (("HH", "VH", "HV"), ("HH", "VH", "HV")),
+        (("H", "H", "H"), None),
+    ],
+)
+def test_a_faulty_triple_enumerator_is_never_a_hit(monkeypatch, extra, want):
+    _append(monkeypatch, "_tlp_words", (3, 1), extra)
+    detail = None if want is None else f"triple {_triple_detail(*want)} does not round trip"
+    assert _failures("roundtrip", 4) == ([] if want is None else [("tlp-roundtrip-n3", detail)])
+
+
+def test_a_faulty_enumerator_fails_as_the_direct_path_does(monkeypatch):
+    # a weight of 0, or a triple of other letters, breaks the inverse map
+    # itself; the reverse check raises what it raised before the marks
+    real_histories = harness._histories
+    _append(monkeypatch, "_histories", (4,), ("UDUD", (1, 2, 0, 1)))
+    with pytest.raises(IndexError):
+        run_suite("roundtrip", 5)
+    monkeypatch.setattr(harness, "_histories", real_histories)
+    _append(monkeypatch, "_tlp_words", (3, 1), ("hv", "HV", "HV"))
+    with pytest.raises(IndexError):
+        run_suite("roundtrip", 4)
+
+
+def test_history_ranks_number_the_histories_in_order():
+    for length in range(7):
+        ranks, count = _history_ranks(length)
+        got = [harness._history_rank(ranks, word, weights) for word, weights in _histories(length)]
+        assert got == list(range(factorial(length + 1))) and count == len(got), length
+
+
+def test_triple_keys_tell_every_triple_apart():
+    # every triple of H/V words of one length <= 3 with one count of H gets
+    # its own key, and the keys of each length fill the level's range
+    words = [w for m in range(4) for w in map("".join, product("HV", repeat=m))]
+    for m in range(4):
+        ranks, keys = harness._word_ranks(m)
+        got = {}
+        for triple in product([w for w in words if len(w) == m], repeat=3):
+            key = harness._triple_key(ranks, triple)
+            assert (key is None) == (len({w.count("H") for w in triple}) > 1), triple
+            if key is not None:
+                assert got.setdefault(key, triple) == triple
+        assert sorted(got) == list(range(keys))
+
+
+def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch):
+    # every key of lengths 0-3 marked
+    levels = {}
+    for m in range(4):
+        ranks, keys = harness._word_ranks(m)
+        levels[m] = (ranks, bytearray(b"\xff") * (keys // 8 + 1))
+    monkeypatch.setattr(harness, "_triple_levels", levels)
+    assert harness._triple_verified(("HV", "VH", "HV"))
+    assert harness._triple_verified(("", "", ""))
+    # unequal lengths or counts of H, other letters, a list, two words,
+    # bytes, and a length that has no marks
+    for bad in [
+        ("HV", "HV", "H"),
+        ("HV", "HV", "HH"),
+        ("HV", "HV", "Hv"),
+        ("HV", "HV", "H "),
+        ["HV", "VH", "HV"],
+        ("HV", "VH"),
+        (b"HV", "VH", "HV"),
+        ("HVVV", "VHVV", "HVVV"),
+    ]:
+        assert not harness._triple_verified(bad), bad
+
+
+def test_reverse_scans_read_every_mark(monkeypatch):
+    # counted, so that a key that silently stops hitting fails here: the
+    # forward scans call each inverse once per item, the reverse scans never
+    calls = {"_psi_fv_inverse": 0, "_gamma_prime_inverse": 0}
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def f(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return f
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    assert run_suite("roundtrip", 6, jobs=1).passed
+    # fv-roundtrip over S_1..S_6, psi-roundtrip and gamma-prime-roundtrip over B_1..B_6
+    perms = sum(factorial(m) for m in range(1, 7))
+    baxter = sum(baxter_number(m) for m in range(1, 7))
+    assert calls == {"_psi_fv_inverse": perms + baxter, "_gamma_prime_inverse": baxter}
+
+
+def test_round_trip_marks_keep_bits_not_keys():
+    # tracemalloc's peak of the roundtrip suite per permutation of S_8
+    # (40,320) on Python 3.11: 14 bytes before the marks, 24 with them, and
+    # 167 with sets of bytes keys in place of the bitmaps (191 with str)
+    tracemalloc.start()
+    try:
+        run_suite("roundtrip", 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 40320 < 45
 
 
 def _corrupt_phi(monkeypatch, length, corrupt):
