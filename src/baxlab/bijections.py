@@ -15,7 +15,11 @@ of ``gamma_prime`` rewrites the top path the other way, into ``psi`` form,
 and inverts that as ``psi_inverse`` does.
 
 Each public map checks its input once and then runs private cores over
-plain words and weight tuples, which trust their input.
+plain words and weight tuples, which trust their input.  What a core
+returns is well-formed by construction, so the maps wrap it through
+``PathTriple._trusted`` or ``LaguerreHistory._trusted`` without checking it
+again; ``tests/test_core_oracles.py`` (``test_maps_wrap_well_formed_output_*``)
+pins that every result equals what the validating constructor builds.
 """
 from __future__ import annotations
 
@@ -70,7 +74,7 @@ def gamma(p: Perm, *, checked: bool = True) -> PathTriple:
     q = inverse(p)  # checks p
     if checked:
         _check_baxter(p)
-    return PathTriple(*_gamma_words(p, q))
+    return PathTriple._trusted(_gamma_words(p, q))
 
 
 def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
@@ -78,7 +82,7 @@ def gamma_prime(p: Perm, *, checked: bool = True) -> PathTriple:
     q = inverse(p)  # checks p
     if checked:
         _check_baxter(p)  # p is Baxter iff its inverse is
-    return PathTriple(*_gamma_words(q, p))
+    return PathTriple._trusted(_gamma_words(q, p))
 
 
 def phi(h: LaguerreHistory) -> PathTriple:
@@ -95,7 +99,7 @@ def phi(h: LaguerreHistory) -> PathTriple:
     h_top <= h_mid <= h_bot, so the triple is disjoint.
     """
     _check_bounds(h.word, h.weights)
-    return PathTriple(*_phi(h.word, h.weights))
+    return PathTriple._trusted(_phi(h.word, h.weights))
 
 
 _BOTTOM_STEPS = str.maketrans("UBDR", "HHVV")
@@ -130,7 +134,7 @@ def phi_inverse(t: PathTriple) -> LaguerreHistory:
     vertex from the bottom's.
     """
     tlp_parameters(t)
-    return LaguerreHistory(*_phi_inverse(t.bottom, t.middle, t.top))
+    return LaguerreHistory._trusted(_phi_inverse(t.bottom, t.middle, t.top))
 
 
 # the letter of code 2 * [top step is H] + [bottom step is H]
@@ -172,7 +176,7 @@ def psi(p: Perm) -> PathTriple:
     """
     q = inverse(p)  # checks p
     _check_baxter(p)
-    return PathTriple(*_psi_words(p, q))
+    return PathTriple._trusted(_psi_words(p, q))
 
 
 def _psi_words(p: Perm, q: Perm) -> tuple[str, str, str]:

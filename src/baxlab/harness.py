@@ -13,7 +13,7 @@ import os
 import time
 from contextlib import nullcontext
 from itertools import product
-from math import comb
+from math import comb, factorial
 from operator import le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -115,6 +115,10 @@ def _split_key(key: bytes) -> tuple[str, str, str]:
 # the marks on entry and on exit.  A pool's workers mark their own and die
 # with the pool: a reverse item whose forward item went to another worker
 # is checked directly, so the report does not depend on the worker count.
+# psi-roundtrip-n{m} reads the same marks: once every history of length
+# m - 1 is marked, _psi_fv_inverse inverts _psi_fv on all of S_m, and only
+# the phi pair is left to check; otherwise, as in a pool or past
+# FULL_SCAN_LIMIT, it checks the whole round trip.
 
 _history_levels: dict[int, tuple[dict, bytearray]] = {}  # by length: its _history_ranks, a bit per rank
 _triple_levels: dict[int, tuple[dict, bytearray]] = {}  # by step count: its _word_ranks, a bit per key
@@ -154,6 +158,13 @@ def _mark_history(word: str, weights: tuple[int, ...]) -> None:
     """Mark a history that _psi_fv returned and _validity passed."""
     ranks, bits = _level(_history_levels, len(word), _history_ranks)
     _set_bit(bits, _history_rank(ranks, word, weights))
+
+
+def _level_verified(m: int) -> bool:
+    """True iff every history of length m - 1 is marked: fv-roundtrip-n{m}
+    passed on all m! permutations, in this process."""
+    level = _history_levels.get(m - 1)
+    return level is not None and int.from_bytes(level[1], "little").bit_count() == factorial(m)
 
 
 def _history_verified(history: tuple[str, tuple[int, ...]]) -> bool:
@@ -250,6 +261,16 @@ def _check_gamma_prime_roundtrip(p: Perm) -> str | None:
 
 def _check_psi_roundtrip(p: Perm) -> str | None:
     if _psi_fv_inverse(*_phi_inverse(*_phi(*_psi_fv(p)))) != p:
+        return f"round trip failed for {_perm_json(p)}"
+    return None
+
+
+def _check_phi_roundtrip(p: Perm) -> str | None:
+    """:func:`_check_psi_roundtrip` once fv-roundtrip has passed on all of
+    S_m: _psi_fv_inverse then inverts _psi_fv there, so the round trip of
+    p holds iff the phi pair returns h = _psi_fv(p)."""
+    h = _psi_fv(p)
+    if _phi_inverse(*_phi(*h)) != h:
         return f"round trip failed for {_perm_json(p)}"
     return None
 
@@ -356,10 +377,31 @@ class _Scan(NamedTuple):
     ok_detail: str
 
 
-def _scan_check(scan: _Scan, imap: Imap) -> Check:
-    """Stream the items through the checker; stop at the first failure message.
+class _Raised(NamedTuple):
+    """The type name and message of an exception that a checker raised."""
 
-    On success the detail is ok_detail with the item count put in.  On a
+    kind: str
+    message: str
+
+
+def _guarded(checker: Callable[[object], str | None], item: object) -> str | _Raised | None:
+    """checker(item), with an exception returned as its :class:`_Raised`: a
+    pool's imap re-raises a worker's exception at the first item of its
+    chunk, so the workers catch it at its own item."""
+    try:
+        return checker(item)
+    except Exception as exc:
+        return _Raised(type(exc).__name__, str(exc))
+
+
+def _scan_check(scan: _Scan, imap: Imap) -> Check:
+    """Stream the items through the checker; stop at the first failure message
+    or exception.
+
+    On success the detail is ok_detail with the item count put in.  An
+    exception that the checker raises, here or in a pool's worker, fails
+    the check with the item's 1-based position in the scan and the
+    exception's type and message, the same for any worker count.  On a
     failure the feed ends too: a pool's task thread, which pulls the items
     ahead of the results, would otherwise hand its workers the rest of the
     level before the next scan's items.
@@ -373,11 +415,20 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
             yield item
 
     count = 0
-    for count, msg in enumerate(imap(scan.checker, feed()), 1):
-        if msg is not None:
-            failed = True
-            return Check(scan.label, False, msg)
-    return Check(scan.label, True, scan.ok_detail.format(count))
+    msg = None
+    try:
+        for count, msg in enumerate(imap(scan.checker, feed()), 1):
+            if msg is not None:
+                break
+    except Exception as exc:  # the checker raised in this process
+        count += 1
+        msg = _Raised(type(exc).__name__, str(exc))
+    if msg is None:
+        return Check(scan.label, True, scan.ok_detail.format(count))
+    failed = True
+    if isinstance(msg, _Raised):
+        msg = f"item {count} raised {msg.kind}: {msg.message}"
+    return Check(scan.label, False, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +548,7 @@ def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
         )
         yield _Scan(
             f"psi-roundtrip-n{m}",
-            _check_psi_roundtrip,
+            _check_phi_roundtrip if _level_verified(m) else _check_psi_roundtrip,
             iter_baxter(m),
             "round trip on all {} Baxter permutations",
         )
@@ -687,7 +738,11 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     _forget_marks()
     try:
         with _Pool(workers) if workers > 1 else nullcontext() as pool:
-            imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
+            if pool is None:
+                imap = map
+            else:
+                def imap(checker: Callable, items: Iterable) -> Iterator:
+                    return pool.imap(functools.partial(_guarded, checker), items, chunksize=_CHUNK)
             checks = tuple(
                 row if isinstance(row, Check) else _scan_check(row, imap)
                 for sub in names

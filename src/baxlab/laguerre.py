@@ -56,6 +56,13 @@ class LaguerreHistory(_Steps):
         # the inherited _make, which _replace calls too, skips __new__
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, steps: tuple[str, tuple[int, ...]]) -> LaguerreHistory:
+        """The history of a word over :data:`LETTERS` and a tuple of one int
+        per letter, unchecked: for the pairs the library's cores build,
+        which are well-formed by construction."""
+        return tuple.__new__(cls, steps)
+
     def __len__(self) -> int:
         return len(self.word)
 
@@ -75,6 +82,11 @@ def height_profile(word: str) -> tuple[int, ...]:
     (1, 2, 2, 3, 2, 1, 1, 2)
     """
     _check_word(word, LETTERS, "word must be")
+    return _heights(word)
+
+
+def _heights(word: str) -> tuple[int, ...]:
+    """:func:`height_profile` of a word over :data:`LETTERS`, unchecked."""
     steps = word.encode()  # one byte per letter
     moves = map(sub, steps.translate(_U_BYTES), steps.translate(_D_BYTES))
     return tuple(accumulate(moves, initial=1))[:-1]
@@ -158,7 +170,7 @@ def psi_fv(p: Perm) -> LaguerreHistory:
     ('URUDDBUD', (1, 2, 2, 2, 1, 1, 1, 2))
     """
     check_permutation(p)
-    return LaguerreHistory(*_psi_fv(p))
+    return LaguerreHistory._trusted(_psi_fv(tuple(p)))
 
 
 # the length from which the Fenwick sweep beats the bitset sweep: on seeded
@@ -168,7 +180,8 @@ _TREE_FROM = 2048
 
 
 def _psi_fv(p: Perm) -> tuple[str, tuple[int, ...]]:
-    """:func:`psi_fv` of a permutation of 1..len(p), unchecked, as (word, weights).
+    """:func:`psi_fv` of a permutation tuple of 1..len(p), unchecked, as
+    (word, weights).
 
     Short permutations go to :func:`_psi_fv_by_bits`, whose big-int shifts
     make it quadratic, and long ones to :func:`_psi_fv_by_tree`.
@@ -191,14 +204,14 @@ def _psi_fv_by_bits(p: Perm) -> tuple[str, tuple[int, ...]]:
     weight = [0] * (n + 1)
     tops = bottoms = 0
     left = 0
-    for v, right in zip(p, (*p[1:], 0)):
+    for v, right in zip(p, p[1:] + (0,)):
         weight[v] = 1 + (tops >> v).bit_count() - (bottoms >> v).bit_count()
         if left > v:
-            letter[v] = "BU"[right > v]
+            letter[v] = "U" if right > v else "B"
             tops |= 1 << left
             bottoms |= 1 << v
         else:
-            letter[v] = "DR"[right > v]
+            letter[v] = "R" if right > v else "D"
         left = v
     return "".join(letter[1:n]), tuple(weight[1:n])
 
@@ -218,7 +231,7 @@ def _psi_fv_by_tree(p: Perm) -> tuple[str, tuple[int, ...]]:
     weight = [0] * (n + 1)
     tree = [0] * ((1 << n.bit_length()) + 1)  # tree[i] sums the values i - (i & -i) + 1..i
     left = 0
-    for v, right in zip(p, (*p[1:], 0)):
+    for v, right in zip(p, p[1:] + (0,)):
         s = 1
         i = v - 1
         while i:
@@ -226,7 +239,7 @@ def _psi_fv_by_tree(p: Perm) -> tuple[str, tuple[int, ...]]:
             i &= i - 1
         weight[v] = s
         if left > v:
-            letter[v] = "BU"[right > v]
+            letter[v] = "U" if right > v else "B"
             i, j = v, left
             while i != j:
                 if i < j:
@@ -236,7 +249,7 @@ def _psi_fv_by_tree(p: Perm) -> tuple[str, tuple[int, ...]]:
                     tree[j] -= 1
                     j += j & -j
         else:
-            letter[v] = "DR"[right > v]
+            letter[v] = "R" if right > v else "D"
         left = v
     return "".join(letter[1:n]), tuple(weight[1:n])
 
@@ -269,7 +282,7 @@ def classify_letters(p: Perm) -> tuple[LetterClass, ...]:
     permutation of 1..len(p).
     """
     check_permutation(p)
-    return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(p)[0]))
+    return tuple(map(_LETTER_CLASSES.__getitem__, _psi_fv(tuple(p))[0]))
 
 
 def psi_fv_inverse(h: LaguerreHistory) -> Perm:
@@ -301,8 +314,10 @@ def psi_fv_inverse(h: LaguerreHistory) -> Perm:
 def _check_bounds(word: str, weights: Sequence[int]) -> None:
     """Raise :class:`MalformedHistoryError` unless 1 <= mu_i <= h_i at each
     step and the word closes, in C-level passes; only a history that fails
-    them is walked step by step, to name its first failing step."""
-    heights = height_profile(word)
+    them is walked step by step, to name its first failing step.  Its
+    callers pass the word of a built history, whose letters were checked
+    then, so they are not checked again."""
+    heights = _heights(word)
     if min(weights, default=1) < 1 or not all(map(le, weights, heights)):
         for i, (mu, holes) in enumerate(zip(weights, heights), start=1):
             if not 1 <= mu <= holes:
@@ -319,21 +334,22 @@ def _psi_fv_inverse(word: str, weights: Sequence[int]) -> Perm:
     n = len(word) + 1
     after = [0] * (n + 1)  # after[v]: the letter following v, 0 at the end
     holes = [0]  # the open placeholders right to left, each named by the letter before it
-    h = 1  # len(holes), the height before step i
-    for i, (c, mu) in enumerate(zip(word, weights), start=1):
-        j = h - mu  # the mu-th placeholder from the left
+    i = 0  # the step
+    for c, mu in zip(word, weights):
+        i += 1
+        j = len(holes) - mu  # the mu-th placeholder from the left
         v = holes[j]
-        after[i], after[v] = after[v], i
+        after[i] = after[v]
+        after[v] = i
         if c == "U":
             holes.insert(j, i)
-            h += 1
         elif c == "R":
             holes[j] = i
         elif c == "D":
             del holes[j]
-            h -= 1
     v = holes[0]
-    after[n], after[v] = after[v], n
+    after[n] = after[v]
+    after[v] = n
     out = [0] * n
     v = 0
     for k in range(n):

@@ -79,6 +79,13 @@ class PathTriple(_Words):
         # the inherited _make, which _replace calls too, skips __new__
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, words: tuple[str, str, str]) -> PathTriple:
+        """The triple of three H/V words of one length, unchecked: for the
+        words the library's cores build, which are well-formed by
+        construction."""
+        return tuple.__new__(cls, words)
+
     @property
     def n(self) -> int:
         """Size of the permutations this triple corresponds to."""

@@ -35,6 +35,7 @@ def check_permutation(p: Perm) -> None:
     A set, which has no order to read, an iterator and an ``int`` are
     refused as not sequences.  Every entry must pass :func:`_is_int`:
     ``True`` and ``1.0`` compare equal to 1 but are not permutation entries.
+    n distinct integers between 1 and n are 1..n, so no sort is needed.
     The messages show p as ``reprlib.repr`` does, its first six entries, and
     name the first bad entry when that cuts p short.
     """
@@ -46,13 +47,14 @@ def check_permutation(p: Perm) -> None:
     if not _all_ints(p):
         bad = next(i for i, v in enumerate(p) if not _is_int(v))
         raise InvalidPermutationError(f"permutation entries must be integers: {_shown(p, bad)}")
-    if sorted(p) != list(range(1, len(p) + 1)):
+    n = len(p)
+    if max(p) != n or min(p) != 1 or len(set(p)) != n:
         seen: set[int] = set()
         for bad, v in enumerate(p):  # stop at the first entry out of range or repeated
-            if not 1 <= v <= len(p) or v in seen:
+            if not 1 <= v <= n or v in seen:
                 break
             seen.add(v)
-        raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {_shown(p, bad)}")
+        raise InvalidPermutationError(f"not a permutation of 1..{n}: {_shown(p, bad)}")
 
 
 def _shown(p: Sequence[object], bad: int) -> str:

@@ -7,9 +7,9 @@ profile, ``phi`` with its weight bounds held by a running placeholder count
 and its middle path from H-prefix counts, the weights of ``phi_inverse`` from
 H-prefix counts, the placeholder rebuild of ``psi_fv_inverse`` with its
 placeholders listed left to right, the path-triple word check run word by
-word, the step-word walk that recursed once per step, and the q-binomials
-and closed form built from dict-product ``QPoly`` arithmetic
-(:func:`poly_product`) with a checked long division.
+word, the permutation rule by sorting, the step-word walk that recursed
+once per step, and the q-binomials and closed form built from dict-product
+``QPoly`` arithmetic (:func:`poly_product`) with a checked long division.
 
 No oracle here calls an oracle of ``fv_oracles``.  Within this file the
 descent-set helpers build :func:`stat_profile_by_sets`, and the closed form
@@ -22,7 +22,7 @@ from math import comb
 from baxlab.bijections import MalformedMiddleError
 from baxlab.laguerre import MalformedHistoryError, Validity, height_profile
 from baxlab.paths import PathTriple, h_prefix
-from baxlab.perm import StatProfile, inverse
+from baxlab.perm import InvalidPermutationError, StatProfile, inverse
 from baxlab.qseries import QPoly, TQPoly, exact_div
 
 
@@ -190,6 +190,26 @@ def psi_fv_inverse_by_left_holes(word, weights):
         v = after[v]
         out.append(v)
     return tuple(out)
+
+
+def check_permutation_by_sorting(p):
+    """The InvalidPermutationError the permutation rule raises for a list
+    or tuple of ints p, or None, by the sorted definition: p is a
+    permutation iff sorted(p) == [1, ..., len(p)].  A failure names the
+    first entry out of range or repeated, as reprlib shows p."""
+    if not p:
+        return InvalidPermutationError("a permutation must have length >= 1")
+    if sorted(p) == list(range(1, len(p) + 1)):
+        return None
+    seen = set()
+    for bad, v in enumerate(p):
+        if not 1 <= v <= len(p) or v in seen:
+            break
+        seen.add(v)
+    shown = reprlib.repr(p)
+    if "..." in shown:
+        shown += f", entry {bad + 1} is {v}"
+    return InvalidPermutationError(f"not a permutation of 1..{len(p)}: {shown}")
 
 
 def check_words_one_by_one(bottom, middle, top):

@@ -14,6 +14,7 @@ from baxlab.bijections import (
     gamma_prime,
     gamma_prime_inverse,
     phi,
+    phi_inverse,
     psi,
 )
 from baxlab import laguerre
@@ -31,6 +32,7 @@ from baxlab.laguerre import (
     enumerate_histories,
     height_profile,
     is_motzkin_word,
+    psi_fv,
 )
 from baxlab.paths import (
     PathTriple,
@@ -235,6 +237,37 @@ def test_psi_wraps_its_cores():
     for n in range(1, 10):
         for p in iter_baxter(n):
             assert PathTriple(*_phi(*_psi_fv(p))) == psi(p), p
+
+
+def _as_if_checked(r):
+    # a map wraps its core's output without checking it; the validating
+    # constructor must build the same value from it, so no malformed word
+    # or weight tuple can get past the trusted wrapping
+    assert type(r) in (PathTriple, LaguerreHistory), r
+    assert r == type(r)(*r), r
+
+
+def _maps_wrap_well_formed_output(p, baxter):
+    _as_if_checked(psi_fv(p))
+    _as_if_checked(gamma(p, checked=False))
+    if baxter:
+        triples = (gamma(p), gamma_prime(p), psi(p))
+        for r in (*triples, phi(psi_fv(p)), *map(phi_inverse, triples)):
+            _as_if_checked(r)
+
+
+def test_maps_wrap_well_formed_output_exhaustively():
+    # every map on all of B_1..B_7, and the maps that take any permutation
+    # on all of S_1..S_7
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            _maps_wrap_well_formed_output(p, _is_baxter(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_permutations())
+def test_maps_wrap_well_formed_output_up_to_n300(p):
+    _maps_wrap_well_formed_output(p, _is_baxter(p))
 
 
 def test_enumerate_histories_wraps_the_pairs():

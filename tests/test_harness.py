@@ -303,8 +303,8 @@ def test_image_folds_keep_keys_not_permutations(suite, bound):
     assert peak / 10754 < bound
 
 
-def _failures(suite, n):
-    return [(c.label, c.detail) for c in run_suite(suite, n).checks if not c.passed]
+def _failures(suite, n, jobs=1):
+    return [(c.label, c.detail) for c in run_suite(suite, n, jobs).checks if not c.passed]
 
 
 def _marks_are_empty():
@@ -432,16 +432,45 @@ def test_a_faulty_triple_enumerator_is_never_a_hit(monkeypatch, extra, want):
 
 
 def test_a_faulty_enumerator_fails_as_the_direct_path_does(monkeypatch):
-    # a weight of 0, or a triple of other letters, breaks the inverse map
-    # itself; the reverse check raises what it raised before the marks
-    real_histories = harness._histories
-    _append(monkeypatch, "_histories", (4,), ("UDUD", (1, 2, 0, 1)))
-    with pytest.raises(IndexError):
-        run_suite("roundtrip", 5)
-    monkeypatch.setattr(harness, "_histories", real_histories)
-    _append(monkeypatch, "_tlp_words", (3, 1), ("hv", "HV", "HV"))
-    with pytest.raises(IndexError):
-        run_suite("roundtrip", 4)
+    # a weight of 0 or 1.0, or a triple of other letters, breaks the inverse
+    # map itself; the reverse check takes the direct path, whose exception
+    # fails the check at the item's place in the scan, for any worker count
+    real_histories, real_tlp_words = harness._histories, harness._tlp_words
+    for jobs in (1, 2):
+        for weights, raised in [
+            ((1, 2, 0, 1), "IndexError: list index out of range"),
+            ((1.0, 2, 1, 1), "TypeError: list indices must be integers or slices, not float"),
+        ]:
+            _append(monkeypatch, "_histories", (4,), ("UBDR", weights))
+            # the 5! histories of length 4, then the faulty one
+            want = [("history-roundtrip-len4", f"item 121 raised {raised}")]
+            assert _failures("roundtrip", 5, jobs) == want, jobs
+            monkeypatch.setattr(harness, "_histories", real_histories)
+        for words in [("hv", "HV", "HV"), ("VV", "HH", "HH")]:
+            _append(monkeypatch, "_tlp_words", (3, 1), words)
+            # the five triples of size 3 with k = 0 and k = 1, then the faulty one
+            want = [("tlp-roundtrip-n3", "item 6 raised IndexError: list index out of range")]
+            assert _failures("roundtrip", 4, jobs) == want, jobs
+            monkeypatch.setattr(harness, "_tlp_words", real_tlp_words)
+    assert _marks_are_empty()
+
+
+def test_a_raising_checker_stops_the_feed():
+    # nothing past the item that raised is drawn from the enumerator
+    drawn = []
+
+    def items():
+        for i in range(10):
+            drawn.append(i)
+            yield i
+
+    def checker(i):
+        1 // (3 - i)  # raises at the fourth item
+
+    scan = harness._Scan("raises-at-3", checker, items(), "{}")
+    check = harness._scan_check(scan, map)
+    assert check == Check("raises-at-3", False, "item 4 raised ZeroDivisionError: integer division or modulo by zero")
+    assert drawn == [0, 1, 2, 3]
 
 
 def test_history_ranks_number_the_histories_in_order():
@@ -492,7 +521,8 @@ def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch)
 
 def test_reverse_scans_read_every_mark(monkeypatch):
     # counted, so that a key that silently stops hitting fails here: the
-    # forward scans call each inverse once per item, the reverse scans never
+    # forward scans call each inverse once per item, the reverse scans and
+    # psi-roundtrip, which reads the marks of fv-roundtrip, never
     calls = {"_psi_fv_inverse": 0, "_gamma_prime_inverse": 0}
 
     def counted(name):
@@ -507,10 +537,48 @@ def test_reverse_scans_read_every_mark(monkeypatch):
     for name in calls:
         monkeypatch.setattr(harness, name, counted(name))
     assert run_suite("roundtrip", 6, jobs=1).passed
-    # fv-roundtrip over S_1..S_6, psi-roundtrip and gamma-prime-roundtrip over B_1..B_6
+    # fv-roundtrip over S_1..S_6, gamma-prime-roundtrip over B_1..B_6
     perms = sum(factorial(m) for m in range(1, 7))
     baxter = sum(baxter_number(m) for m in range(1, 7))
-    assert calls == {"_psi_fv_inverse": perms + baxter, "_gamma_prime_inverse": baxter}
+    assert calls == {"_psi_fv_inverse": perms, "_gamma_prime_inverse": baxter}
+
+
+def test_psi_roundtrip_checks_the_whole_trip_unless_fv_passed_on_its_level(monkeypatch):
+    # psi_fv of the Baxter permutation (2, 4, 3, 5, 1) sent elsewhere: the
+    # level of length 4 is not full, so psi-roundtrip-n5 computes the whole
+    # round trip and fails where fv-roundtrip-n5 did; n4 and n6 still pass
+    p = (2, 4, 3, 5, 1)
+    real = harness._psi_fv_inverse
+    h = harness._psi_fv(p)
+    monkeypatch.setattr(harness, "_psi_fv_inverse", lambda *w: real(*w)[::-1] if w == h else real(*w))
+    assert _failures("roundtrip", 6) == [
+        ("fv-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]"),
+        ("history-roundtrip-len4", f"history {h[0]}/{list(h[1])} does not round trip"),
+        ("psi-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]"),
+    ]
+
+
+def test_psi_roundtrip_on_a_full_level_still_checks_the_phi_pair(monkeypatch):
+    # _phi_inverse broken on the triple of one Baxter permutation: fv-roundtrip
+    # passed on every level, so psi-roundtrip checks the phi pair alone and
+    # still fails there
+    p = (2, 4, 3, 5, 1)
+    words = harness._phi(*harness._psi_fv(p))
+    real = harness._phi_inverse
+    monkeypatch.setattr(harness, "_phi_inverse", lambda *w: ("RRRR", (1, 1, 1, 1)) if w == words else real(*w))
+    assert _failures("roundtrip", 6) == [("psi-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]")]
+
+
+def test_a_level_is_verified_only_when_every_history_is_marked():
+    harness._forget_marks()
+    for p in all_permutations(4):
+        assert not harness._level_verified(4)
+        harness._mark_history(*harness._psi_fv(p))
+    assert harness._level_verified(4) and not harness._level_verified(5)
+    # one bit short of the 24 ranks
+    harness._history_levels[3][1][0] &= 0xFE
+    assert not harness._level_verified(4)
+    harness._forget_marks()
 
 
 def test_round_trip_marks_keep_bits_not_keys():

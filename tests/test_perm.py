@@ -51,7 +51,7 @@ from baxlab.qseries import (
     tlp_count_formula,
 )
 from bfs_oracle import generate_baxter_bfs
-from core_oracles import descent_bottoms, descent_positions, descent_tops
+from core_oracles import check_permutation_by_sorting, descent_bottoms, descent_positions, descent_tops
 from fv_oracles import classify_letters_by_position, is_baxter_bruteforce
 
 EX9 = (2, 3, 5, 4, 1, 9, 7, 8, 6)
@@ -73,6 +73,37 @@ def test_as_permutation_accepts_valid_words():
 def test_as_permutation_rejects_invalid_words(bad):
     with pytest.raises(InvalidPermutationError):
         as_permutation(bad)
+
+
+@st.composite
+def _near_permutations(draw):
+    """A permutation of 1..n with up to three entries set to 0, a negative,
+    n + 1 or another entry's value, or any short list of small ints."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-3, 12), max_size=12))
+    n = draw(st.integers(0, 10))
+    p = draw(st.permutations(range(1, n + 1)))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        p[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, -1, -n, n + 1, n + 2, *p]))
+    return p
+
+
+def _raised(check, p):
+    try:
+        check(p)
+    except InvalidPermutationError as exc:
+        return exc
+    return None
+
+
+@given(_near_permutations())
+def test_check_permutation_accepts_what_the_sorted_rule_accepts(p):
+    # max, min and a set of distinct entries in place of the sort: the same
+    # verdict, and a refusal with the same type and message
+    for word in (p, tuple(p)):
+        want = check_permutation_by_sorting(word)
+        got = _raised(check_permutation, word)
+        assert (type(got), str(got)) == (type(want), str(want)), word
 
 
 class _Int(int):
