@@ -13,13 +13,13 @@ import os
 import time
 from contextlib import nullcontext
 from itertools import product
-from math import comb, factorial
-from operator import le, mul
+from math import comb, factorial, prod
+from operator import le
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
-from .laguerre import _histories, _history_ranks, _psi_fv, _psi_fv_inverse, _validity
+from .laguerre import _closed_words, _histories, _psi_fv, _psi_fv_inverse, _validity
 from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
 from .perm import (
     Perm,
@@ -102,85 +102,36 @@ def _split_key(key: bytes) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 # the round trips verified in this run
 #
-# A forward scan that finds _psi_fv_inverse(_psi_fv(p)) == p has computed both
-# maps of the pair on p, and both are pure, so the reverse scan's check of
-# h = _psi_fv(p), _psi_fv(_psi_fv_inverse(h)) == h, would compute the same
-# two values again; likewise for _gamma_words and _gamma_prime_inverse.  So
-# each forward item that passes marks a key of its image, and the reverse
-# check passes an item whose key is marked.  Keys are exact and small
-# ranks, one bit each in a bitmap per size.  The forward side takes the
-# images as the cores return them; the reverse side reads a mark only for
-# an item that _histories or _tlp_words could yield, so any other item,
-# such as a faulty enumerator's, takes the direct path.  run_suite empties
-# the marks on entry and on exit.  A pool's workers mark their own and die
-# with the pool: a reverse item whose forward item went to another worker
-# is checked directly, so the report does not depend on the worker count.
-# psi-roundtrip-n{m} reads the same marks: once every history of length
-# m - 1 is marked, _psi_fv_inverse inverts _psi_fv on all of S_m, and only
-# the phi pair is left to check; otherwise, as in a pool or past
-# FULL_SCAN_LIMIT, it checks the whole round trip.
+# Histories, by count.  If fv-roundtrip-n{m} passed, _psi_fv_inverse is a
+# left inverse of _psi_fv on all_permutations(m), which is S_m as that
+# check's detail states, so _psi_fv sends the m! permutations one to one to
+# histories that _validity passes; _psi_fv_inverse returns len(word) + 1
+# letters, so their length is m - 1.  If the closed words of that length
+# (_closed_words, tested against its definition) also carry exactly m!
+# weightings, the product of their heights summed, _psi_fv is onto them and
+# every history of length m - 1 round trips: history-roundtrip passes an
+# item that _histories could yield and checks any other item, such as a
+# faulty enumerator's, directly.  The left inverse alone leaves
+# psi-roundtrip-n{m} only the phi pair to check.  Both shortcuts read the
+# labels that passed earlier in the run, so they hold for any worker count.
+#
+# Triples, by marks.  gamma-prime-roundtrip does not check that its images
+# are distinct triples, and their number is the paper's theorem, so no count
+# stands in for the reverse scan.  Each forward item that passes marks its
+# image instead: both maps of the pair are pure, so the reverse check of a
+# marked triple would compute the same two values again.  Keys are exact
+# and small ranks, one bit each in a bitmap per step count.  The reverse
+# side reads a mark only for an item that _tlp_words could yield.  run_suite
+# empties the marks on entry and on exit.  A pool's workers mark their own
+# and die with the pool: a reverse item whose forward item went to another
+# worker is checked directly, so the report does not depend on the worker
+# count.
 
-_history_levels: dict[int, tuple[dict, bytearray]] = {}  # by length: its _history_ranks, a bit per rank
 _triple_levels: dict[int, tuple[dict, bytearray]] = {}  # by step count: its _word_ranks, a bit per key
 
 
 def _forget_marks() -> None:
-    _history_levels.clear()
     _triple_levels.clear()
-
-
-def _level(levels: dict, size: int, ranks: Callable[[int], tuple[dict, int]]) -> tuple[dict, bytearray]:
-    """The rank table and bitmap of one size, made on first use from
-    ranks(size), the table and its number of keys."""
-    level = levels.get(size)
-    if level is None:
-        table, keys = ranks(size)
-        level = levels[size] = (table, bytearray((keys + 7) // 8))
-    return level
-
-
-def _set_bit(bits: bytearray, key: int) -> None:
-    bits[key >> 3] |= 1 << (key & 7)
-
-
-def _bit(bits: bytearray, key: int) -> bool:
-    return bits[key >> 3] >> (key & 7) & 1 == 1
-
-
-def _history_rank(ranks: dict, word: str, weights: tuple[int, ...]) -> int:
-    """The position in _histories of a closed word with weights within
-    1..h_i, from the _history_ranks of its length."""
-    base, (_, strides) = ranks[word]
-    return base + sum(map(mul, weights, strides))
-
-
-def _mark_history(word: str, weights: tuple[int, ...]) -> None:
-    """Mark a history that _psi_fv returned and _validity passed."""
-    ranks, bits = _level(_history_levels, len(word), _history_ranks)
-    _set_bit(bits, _history_rank(ranks, word, weights))
-
-
-def _level_verified(m: int) -> bool:
-    """True iff every history of length m - 1 is marked: fv-roundtrip-n{m}
-    passed on all m! permutations, in this process."""
-    level = _history_levels.get(m - 1)
-    return level is not None and int.from_bytes(level[1], "little").bit_count() == factorial(m)
-
-
-def _history_verified(history: tuple[str, tuple[int, ...]]) -> bool:
-    """True iff history is a pair that _histories yields, a tuple of a
-    closed word and a tuple of ints each within 1..h_i, and is marked."""
-    if type(history) is not tuple or len(history) != 2:
-        return False
-    word, weights = history
-    level = _history_levels.get(len(word)) if type(word) is str else None
-    entry = None if level is None else level[0].get(word)
-    if entry is None or type(weights) is not tuple or not _all_ints(weights):
-        return False
-    heights = entry[1][0]
-    if len(weights) != len(heights) or not all(map(le, weights, heights)) or (weights and min(weights) < 1):
-        return False
-    return _bit(level[1], _history_rank(level[0], word, weights))
 
 
 def _word_ranks(steps: int) -> tuple[dict[str, tuple[int, int, int]], int]:
@@ -217,11 +168,15 @@ def _triple_key(ranks: dict, words: tuple[str, str, str]) -> int | None:
 
 def _mark_triple(words: tuple[str, str, str]) -> None:
     """Mark a triple that _gamma_words returned, up to TLP_ENUM_LIMIT - 1 steps."""
-    if len(words[0]) < TLP_ENUM_LIMIT:
-        ranks, bits = _level(_triple_levels, len(words[0]), _word_ranks)
-        key = _triple_key(ranks, words)
+    steps = len(words[0])
+    if steps < TLP_ENUM_LIMIT:
+        level = _triple_levels.get(steps)
+        if level is None:
+            ranks, keys = _word_ranks(steps)
+            level = _triple_levels[steps] = (ranks, bytearray((keys + 7) // 8))
+        key = _triple_key(level[0], words)
         if key is not None:
-            _set_bit(bits, key)
+            level[1][key >> 3] |= 1 << (key & 7)
 
 
 def _triple_verified(words: tuple[str, str, str]) -> bool:
@@ -231,7 +186,7 @@ def _triple_verified(words: tuple[str, str, str]) -> bool:
         return False
     level = _triple_levels.get(len(words[0]))
     key = None if level is None else _triple_key(level[0], words)
-    return key is not None and _bit(level[1], key)
+    return key is not None and level[1][key >> 3] >> (key & 7) & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +202,6 @@ def _check_fv(p: Perm) -> str | None:
         return f"round trip failed for {_perm_json(p)}"
     if val.baxter_ok != _is_baxter(p):
         return f"history/pattern disagreement for {_perm_json(p)}"
-    _mark_history(word, weights)
     return None
 
 
@@ -290,12 +244,30 @@ def _check_psi_encoding(p: Perm) -> str | None:
 
 
 def _check_history_roundtrip(history: tuple[str, tuple[int, ...]]) -> str | None:
-    if _history_verified(history):
-        return None
     word, weights = history
     if _psi_fv(_psi_fv_inverse(word, weights)) != history:
         return f"history {word}/{list(weights)} does not round trip"
     return None
+
+
+def _check_history_in_image(heights: dict[str, tuple[int, ...]], history: tuple[str, tuple[int, ...]]) -> str | None:
+    """:func:`_check_history_roundtrip` once the count argument holds at this
+    length, heights being dict(_closed_words(length)): a pair that _histories
+    could yield, a tuple of a closed word and a tuple of ints each within
+    1..h_i, passes; any other item is checked directly."""
+    if type(history) is tuple and len(history) == 2:
+        word, weights = history
+        bounds = heights.get(word) if type(word) is str else None
+        if (
+            bounds is not None
+            and type(weights) is tuple
+            and len(weights) == len(bounds)
+            and _all_ints(weights)
+            and all(map(le, weights, bounds))
+            and min(weights, default=1) >= 1
+        ):
+            return None
+    return _check_history_roundtrip(history)
 
 
 def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
@@ -495,7 +467,7 @@ def _image_mismatch(m: int, k: int, keys: set[bytes], count: int) -> str | None:
     )
 
 
-def _suite_bijection(n: int) -> Iterator[Check | _Scan]:
+def _suite_bijection(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         # the image of the level as one set of keys and a count per k; a
         # failure walks the level again to name a permutation
@@ -524,7 +496,19 @@ def _suite_bijection(n: int) -> Iterator[Check | _Scan]:
         )
 
 
-def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
+def _history_checker(length: int, passed: set[str]) -> Callable[[object], str | None]:
+    """The checker of history-roundtrip-len{length}: by count once
+    fv-roundtrip-n{length + 1} has passed and the closed words of that length
+    carry (length + 1)! weightings, else directly.  Its table of heights is
+    made per scan and lives only as long as the scan's checker."""
+    if f"fv-roundtrip-n{length + 1}" in passed:
+        heights = dict(_closed_words(length))
+        if sum(map(prod, heights.values())) == factorial(length + 1):
+            return functools.partial(_check_history_in_image, heights)
+    return _check_history_roundtrip
+
+
+def _suite_roundtrip(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     for m in range(1, min(n, FULL_SCAN_LIMIT) + 1):
         yield _Scan(
             f"fv-roundtrip-n{m}",
@@ -535,7 +519,7 @@ def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
     for length in range(min(n, FULL_SCAN_LIMIT)):  # histories of length L <-> S_{L+1}
         yield _Scan(
             f"history-roundtrip-len{length}",
-            _check_history_roundtrip,
+            _history_checker(length, passed),
             _histories(length),
             "all {} histories round trip",
         )
@@ -548,7 +532,7 @@ def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
         )
         yield _Scan(
             f"psi-roundtrip-n{m}",
-            _check_phi_roundtrip if _level_verified(m) else _check_psi_roundtrip,
+            _check_phi_roundtrip if f"fv-roundtrip-n{m}" in passed else _check_psi_roundtrip,
             iter_baxter(m),
             "round trip on all {} Baxter permutations",
         )
@@ -561,7 +545,7 @@ def _suite_roundtrip(n: int) -> Iterator[Check | _Scan]:
             )
 
 
-def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
+def _suite_lemma_encodings(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
         yield _Scan(
             f"psi-encodings-n{m}",
@@ -594,7 +578,7 @@ def _suite_lemma_encodings(n: int) -> Iterator[Check | _Scan]:
         )
 
 
-def _suite_polynomial(n: int) -> Iterator[Check | _Scan]:
+def _suite_polynomial(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     golden = None
     for m in range(1, n + 1):
         try:
@@ -634,7 +618,7 @@ def _suite_polynomial(n: int) -> Iterator[Check | _Scan]:
     )
 
 
-def _suite_counts(n: int) -> Iterator[Check | _Scan]:
+def _suite_counts(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
         generated = sum(1 for _ in iter_baxter(m))
         formula = baxter_number(m)
@@ -677,7 +661,7 @@ _BAX6_GOLDEN = [
 ]
 
 
-def _suite_corollaries(n: int) -> Iterator[Check | _Scan]:
+def _suite_corollaries(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     for m in range(1, n + 1):
         alt = ralt = 0
         special: list[Perm] = []
@@ -708,7 +692,9 @@ def _suite_corollaries(n: int) -> Iterator[Check | _Scan]:
             )
 
 
-_SUITES: dict[str, Callable[[int], Iterator[Check | _Scan]]] = {
+# each suite takes the bound and the labels of the checks that passed earlier
+# in the run, which grows as run_suite consumes its rows
+_SUITES: dict[str, Callable[[int, set[str]], Iterator[Check | _Scan]]] = {
     "bijection": _suite_bijection,
     "roundtrip": _suite_roundtrip,
     "lemma-encodings": _suite_lemma_encodings,
@@ -743,15 +729,18 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
             else:
                 def imap(checker: Callable, items: Iterable) -> Iterator:
                     return pool.imap(functools.partial(_guarded, checker), items, chunksize=_CHUNK)
-            checks = tuple(
-                row if isinstance(row, Check) else _scan_check(row, imap)
-                for sub in names
-                for row in _SUITES[sub](n)
-            )
+            checks = []
+            passed: set[str] = set()
+            for sub in names:
+                for row in _SUITES[sub](n, passed):
+                    check = row if isinstance(row, Check) else _scan_check(row, imap)
+                    checks.append(check)
+                    if check.passed:
+                        passed.add(check.label)
     finally:
         _forget_marks()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return Report(name, n, checks, elapsed_ms)
+    return Report(name, n, tuple(checks), elapsed_ms)
 
 
 def render_ascii(t: PathTriple) -> str:

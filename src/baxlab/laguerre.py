@@ -9,7 +9,6 @@ from __future__ import annotations
 import reprlib
 from enum import Enum
 from itertools import accumulate, product, starmap
-from math import prod
 from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -386,31 +385,6 @@ def _histories(length: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     for word, heights in _closed_words(length):
         for weights in product(*[range(1, h + 1) for h in heights]):
             yield word, weights
-
-
-def _history_ranks(length: int) -> tuple[dict[str, tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]], int]:
-    """Per closed word of the given length, (base, (heights, strides)): a
-    pair (word, weights) of :func:`_histories` comes at its position
-    base + sum(weights[i] * strides[i]).  Returned with the number of
-    histories, (length + 1)!.
-
-    The words come in order, and the weights of each word in lexicographic
-    order, so that position is the number of histories of the words before
-    plus the mixed-radix value of the digits mu_i - 1 to the bases h_i:
-    strides[i] is the product of the heights after step i.  Words with the
-    same heights share one (heights, strides) pair.
-    """
-    table = {}
-    profiles: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    first = 0
-    for word, heights in _closed_words(length):
-        profile = profiles.get(heights)
-        if profile is None:
-            strides = tuple(prod(heights[i + 1 :]) for i in range(length))
-            profile = profiles[heights] = (heights, strides)
-        table[word] = (first - sum(profile[1]), profile)
-        first += prod(heights)
-    return table, first
 
 
 def enumerate_histories(length: int) -> Iterator[LaguerreHistory]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from baxlab import cli, harness, jsonio
 from baxlab.bijections import gamma, gamma_prime, psi
 from baxlab.harness import Check, render_ascii, run_suite
-from baxlab.laguerre import _histories, _history_ranks
+from baxlab.laguerre import _closed_words
 from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
 from baxlab.perm import all_permutations
 from baxlab.qseries import TQPoly, baxter_number
@@ -308,7 +308,7 @@ def _failures(suite, n, jobs=1):
 
 
 def _marks_are_empty():
-    return not (harness._history_levels or harness._triple_levels)
+    return not harness._triple_levels
 
 
 # psi_fv of (3, 1, 4, 5, 2), and gamma_prime's words of (2, 4, 3, 5, 1)
@@ -370,20 +370,27 @@ def test_a_wrong_inverse_fails_both_round_trips(monkeypatch, corrupt, want):
 def test_no_mark_outlives_its_run(monkeypatch):
     assert run_suite("roundtrip", 5).passed
     assert _marks_are_empty()
-    # a mark left by a checker called outside a run is dropped on entry
-    harness._check_fv((3, 1, 4, 5, 2))
-    assert harness._history_levels
-    _break_psi_fv_inverse(monkeypatch)
-    assert ("history-roundtrip-len4", "history UBDR/[1, 2, 1, 1] does not round trip") in _failures(
-        "roundtrip", 5
-    )
+    # the history check leaves no state; a triple mark left by a checker
+    # called outside a run is dropped on entry
+    assert harness._check_fv((3, 1, 4, 5, 2)) is None
+    assert _marks_are_empty()
+    harness._check_gamma_prime_roundtrip((2, 4, 3, 5, 1))
+    assert harness._triple_levels
+    _break_gamma_prime_inverse(monkeypatch)
+    assert ("tlp-roundtrip-n5", f"triple {_triple_detail(*_T0)} does not round trip") in _failures("roundtrip", 5)
     assert _marks_are_empty()
 
-    def histories(length):
-        raise RuntimeError("stop")
+    real_iter_baxter = harness.iter_baxter
 
-    # the forward scans have marked every level when the reverse one raises
-    monkeypatch.setattr(harness, "_histories", histories)
+    def iter_baxter(m):
+        if m == 5:
+            assert sorted(harness._triple_levels) == [0, 1, 2, 3]
+            raise RuntimeError("stop")
+        return real_iter_baxter(m)
+
+    # the forward scans have marked the triples up to four steps when the
+    # enumerator of B_5 raises in the suite itself
+    monkeypatch.setattr(harness, "iter_baxter", iter_baxter)
     with pytest.raises(RuntimeError, match="stop"):
         run_suite("roundtrip", 5)
     assert _marks_are_empty()
@@ -395,24 +402,37 @@ def _append(monkeypatch, name, args, extra):
     monkeypatch.setattr(harness, name, lambda *a: (*real(*a), extra) if a == args else real(*a))
 
 
-@pytest.mark.parametrize(
-    "extra, want",
-    [
-        # a weight above its bound, weights as a list, a pair as a list, an
-        # open word, and three weights for four steps
-        (("UDUD", (1, 3, 1, 1)), "history UDUD/[1, 3, 1, 1] does not round trip"),
-        (("UBDR", [1, 2, 1, 1]), "history UBDR/[1, 2, 1, 1] does not round trip"),
-        (["UBDR", (1, 2, 1, 1)], "history UBDR/[1, 2, 1, 1] does not round trip"),
-        (("UUDB", (1, 1, 1, 1)), "history UUDB/[1, 1, 1, 1] does not round trip"),
-        (("UBDR", (1, 2, 1)), "history UBDR/[1, 2, 1] does not round trip"),
-        # equal to a history, so it round trips either way
-        (("UBDR", (True, 2, True, True)), None),
-        (("URD", (1, 2, 1)), None),
-    ],
-)
+_FAULTY_HISTORIES = [
+    # a weight above its bound, weights as a list, a pair as a list, an
+    # open word, and three weights for four steps
+    (("UDUD", (1, 3, 1, 1)), "history UDUD/[1, 3, 1, 1] does not round trip"),
+    (("UBDR", [1, 2, 1, 1]), "history UBDR/[1, 2, 1, 1] does not round trip"),
+    (["UBDR", (1, 2, 1, 1)], "history UBDR/[1, 2, 1, 1] does not round trip"),
+    (("UUDB", (1, 1, 1, 1)), "history UUDB/[1, 1, 1, 1] does not round trip"),
+    (("UBDR", (1, 2, 1)), "history UBDR/[1, 2, 1] does not round trip"),
+    # equal to a history, so it round trips either way
+    (("UBDR", (True, 2, True, True)), None),
+    (("URD", (1, 2, 1)), None),
+]
+
+
+@pytest.mark.parametrize("extra, want", _FAULTY_HISTORIES)
 def test_a_faulty_history_enumerator_is_never_a_hit(monkeypatch, extra, want):
     _append(monkeypatch, "_histories", (4,), extra)
     assert _failures("roundtrip", 5) == ([] if want is None else [("history-roundtrip-len4", want)])
+
+
+def test_only_a_history_that_the_enumerator_could_yield_passes_by_count(monkeypatch):
+    # each faulty item above goes to the direct check, a history does not
+    direct = []
+    monkeypatch.setattr(harness, "_check_history_roundtrip", lambda h: direct.append(h) or "direct")
+    heights = dict(_closed_words(4))
+    assert harness._check_history_in_image(heights, ("UBDR", (1, 2, 1, 1))) is None
+    assert harness._check_history_in_image(dict(_closed_words(0)), ("", ())) is None
+    assert direct == []
+    for extra, _ in _FAULTY_HISTORIES:
+        assert harness._check_history_in_image(heights, extra) == "direct", extra
+    assert direct == [extra for extra, _ in _FAULTY_HISTORIES]
 
 
 @pytest.mark.parametrize(
@@ -473,13 +493,6 @@ def test_a_raising_checker_stops_the_feed():
     assert drawn == [0, 1, 2, 3]
 
 
-def test_history_ranks_number_the_histories_in_order():
-    for length in range(7):
-        ranks, count = _history_ranks(length)
-        got = [harness._history_rank(ranks, word, weights) for word, weights in _histories(length)]
-        assert got == list(range(factorial(length + 1))) and count == len(got), length
-
-
 def test_triple_keys_tell_every_triple_apart():
     # every triple of H/V words of one length <= 3 with one count of H gets
     # its own key, and the keys of each length fill the level's range
@@ -519,10 +532,8 @@ def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch)
         assert not harness._triple_verified(bad), bad
 
 
-def test_reverse_scans_read_every_mark(monkeypatch):
-    # counted, so that a key that silently stops hitting fails here: the
-    # forward scans call each inverse once per item, the reverse scans and
-    # psi-roundtrip, which reads the marks of fv-roundtrip, never
+def _count_inverse_calls(monkeypatch):
+    """Count the calls of harness's two inverse cores, in this process."""
     calls = {"_psi_fv_inverse": 0, "_gamma_prime_inverse": 0}
 
     def counted(name):
@@ -536,6 +547,14 @@ def test_reverse_scans_read_every_mark(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(harness, name, counted(name))
+    return calls
+
+
+def test_reverse_scans_read_every_mark(monkeypatch):
+    # counted, so that a key that silently stops hitting fails here: the
+    # forward scans call each inverse once per item, the reverse scans and
+    # psi-roundtrip, which read the passed fv-roundtrip, never
+    calls = _count_inverse_calls(monkeypatch)
     assert run_suite("roundtrip", 6, jobs=1).passed
     # fv-roundtrip over S_1..S_6, gamma-prime-roundtrip over B_1..B_6
     perms = sum(factorial(m) for m in range(1, 7))
@@ -543,10 +562,35 @@ def test_reverse_scans_read_every_mark(monkeypatch):
     assert calls == {"_psi_fv_inverse": perms, "_gamma_prime_inverse": baxter}
 
 
+def test_the_history_count_holds_with_a_pool(monkeypatch, recording_pool):
+    # the reverse history scan and psi-roundtrip read which checks passed,
+    # not a worker's own state, so a pool computes no inverse more often
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    calls = _count_inverse_calls(monkeypatch)
+    counts = []
+    for jobs in (1, 2):
+        calls["_psi_fv_inverse"] = 0
+        assert run_suite("roundtrip", 6, jobs=jobs).passed
+        counts.append(calls["_psi_fv_inverse"])
+    assert counts == [sum(factorial(m) for m in range(1, 7))] * 2
+    assert recording_pool.requested == [2]
+
+
+def test_a_short_count_checks_every_history(monkeypatch):
+    # with one closed word of length 4 dropped the weightings no longer sum
+    # to 5!, so history-roundtrip-len4 inverts each of its 120 items
+    want = run_suite("roundtrip", 5).checks
+    real = harness._closed_words
+    monkeypatch.setattr(harness, "_closed_words", lambda length: list(real(length))[: -1 if length == 4 else None])
+    calls = _count_inverse_calls(monkeypatch)
+    assert run_suite("roundtrip", 5).checks == want
+    assert calls["_psi_fv_inverse"] == sum(factorial(m) for m in range(1, 6)) + 120
+
+
 def test_psi_roundtrip_checks_the_whole_trip_unless_fv_passed_on_its_level(monkeypatch):
-    # psi_fv of the Baxter permutation (2, 4, 3, 5, 1) sent elsewhere: the
-    # level of length 4 is not full, so psi-roundtrip-n5 computes the whole
-    # round trip and fails where fv-roundtrip-n5 did; n4 and n6 still pass
+    # psi_fv of the Baxter permutation (2, 4, 3, 5, 1) sent elsewhere:
+    # fv-roundtrip-n5 fails, so psi-roundtrip-n5 computes the whole round
+    # trip and fails where it did; n4 and n6 still pass
     p = (2, 4, 3, 5, 1)
     real = harness._psi_fv_inverse
     h = harness._psi_fv(p)
@@ -569,22 +613,14 @@ def test_psi_roundtrip_on_a_full_level_still_checks_the_phi_pair(monkeypatch):
     assert _failures("roundtrip", 6) == [("psi-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]")]
 
 
-def test_a_level_is_verified_only_when_every_history_is_marked():
-    harness._forget_marks()
-    for p in all_permutations(4):
-        assert not harness._level_verified(4)
-        harness._mark_history(*harness._psi_fv(p))
-    assert harness._level_verified(4) and not harness._level_verified(5)
-    # one bit short of the 24 ranks
-    harness._history_levels[3][1][0] &= 0xFE
-    assert not harness._level_verified(4)
-    harness._forget_marks()
-
-
 def test_round_trip_marks_keep_bits_not_keys():
     # tracemalloc's peak of the roundtrip suite per permutation of S_8
-    # (40,320) on Python 3.11: 14 bytes before the marks, 24 with them, and
-    # 167 with sets of bytes keys in place of the bitmaps (191 with str)
+    # (40,320): 15.9, 15.2, 15.0 and 15.0 bytes on Pythons 3.10.13, 3.11.7,
+    # 3.12.1 and 3.13.0 with the histories counted and the triples marked,
+    # 25.2, 23.8, 23.3 and 23.3 while the histories were marked too; on
+    # 3.11, 14 before any marks, 48.9 with a set of bytes keys per step count
+    # in place of the triple bitmaps (42.4 with a set of their int ranks,
+    # which passes), and 167 with sets for both (191 with str)
     tracemalloc.start()
     try:
         run_suite("roundtrip", 8)
