@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import bijections, harness, jsonio
 from .laguerre import psi_fv
-from .paths import _tlp_words, expected_endpoints
+from .paths import _tlp_words, expected_endpoints, render_ascii
 from .perm import _check_size
 from .qseries import baxter_polynomial_rhs
 
@@ -114,7 +114,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     else:
         t = bijections.psi(p)
     if args.render == "ascii":
-        print(harness.render_ascii(t))
+        print(render_ascii(t))
     else:
         print(json.dumps(jsonio.triple_to_obj(t)))
     return 0

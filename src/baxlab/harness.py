@@ -1,4 +1,4 @@
-"""Verification suites over every implemented claim, plus ASCII rendering.
+"""Verification suites over every implemented claim.
 
 Each suite yields a family of exhaustive checks up to a size bound ``n``,
 and :func:`run_suite` runs them into a :class:`Report`.  Reports are
@@ -12,7 +12,6 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from itertools import product
 from math import comb, factorial, prod
 from operator import le
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .bijections import _gamma_prime_inverse, _gamma_words, _phi, _phi_inverse
 from .jsonio import perm_to_obj, triple_to_obj
 from .laguerre import _closed_words, _histories, _psi_fv, _psi_fv_inverse, _validity
-from .paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, _tlp_words, decode_path
+from .paths import _step_words, _tlp_words, decode_path
 from .perm import (
     Perm,
     _all_ints,
@@ -139,8 +138,9 @@ def _word_ranks(steps: int) -> tuple[dict[str, tuple[int, int, int]], int]:
     triple of such words with k H steps each has the key
     base + (r_bottom * size + r_middle) * size + r_top.
 
-    rank numbers the size = C(steps, k) words with k H steps, and base
-    counts the size**3 triples of each smaller k, so the keys of the
+    rank numbers the size = C(steps, k) words with k H steps in the order
+    of _step_words under the ceiling h(i) <= i, which every word meets, and
+    base counts the size**3 triples of each smaller k, so the keys of the
     triples with one k in each word fill range(keys) once; keys is returned
     with the table.  The H/V bits of the three words would take 8**steps
     keys, 2 MiB of bitmap at 8 steps against 90 KiB.
@@ -149,8 +149,7 @@ def _word_ranks(steps: int) -> tuple[dict[str, tuple[int, int, int]], int]:
     base = 0
     for k in range(steps + 1):
         size = comb(steps, k)
-        words = (w for w in map("".join, product("HV", repeat=steps)) if w.count("H") == k)
-        for rank, word in enumerate(words):
+        for rank, word in enumerate(_step_words(k, range(steps + 1))):
             table[word] = (base, size, rank)
         base += size**3
     return table, base
@@ -600,14 +599,13 @@ def _suite_polynomial(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
         )
         if m <= BRUTE_POLY_LIMIT:
             lhs = baxter_polynomial_lhs(m)
-            if lhs == rhs:
+            ok = lhs == rhs
+            if ok:
                 detail = f"all {len(lhs.terms())} coefficients agree"
-                passed = True
             else:
                 diff = sorted(set(lhs.terms()) ^ set(rhs.terms()))[:4]
                 detail = f"coefficient mismatch, first differing terms {diff}"
-                passed = False
-            yield Check(f"tq-identity-n{m}", passed, detail)
+            yield Check(f"tq-identity-n{m}", ok, detail)
     if golden is not None:
         yield golden
     yield _Scan(
@@ -623,12 +621,12 @@ def _suite_counts(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
         generated = sum(1 for _ in iter_baxter(m))
         formula = baxter_number(m)
         parts = [f"generator {generated}", f"formula {formula}"]
-        passed = generated == formula
+        ok = generated == formula
         if m <= FULL_SCAN_LIMIT:
             filtered = sum(1 for p in all_permutations(m) if _is_baxter(p))
             parts.append(f"filter {filtered}")
-            passed = passed and filtered == generated
-        yield Check(f"baxter-count-n{m}", passed, ", ".join(parts))
+            ok = ok and filtered == generated
+        yield Check(f"baxter-count-n{m}", ok, ", ".join(parts))
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         failure = None
         total = 0
@@ -742,33 +740,3 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Report(name, n, tuple(checks), elapsed_ms)
 
-
-def render_ascii(t: PathTriple) -> str:
-    """Draw the triple on a dotted grid.
-
-    B/M/T mark the vertices of the bottom/middle/top path and -/| their
-    connecting steps; unused lattice points show as dots.  Paths are drawn
-    bottom first, so an (invalid) intersecting triple overdraws rather than
-    fails.
-    """
-    paths = tuple(zip((BOTTOM_START, MIDDLE_START, TOP_START), (t.bottom, t.middle, t.top)))
-    # the paths are monotone, so their ends bound the grid
-    max_x = max(x + w.count("H") for (x, _), w in paths)
-    max_y = max(y + w.count("V") for (_, y), w in paths)
-    width, height = 2 * max_x + 1, 2 * max_y + 1
-    canvas = [
-        ["." if row % 2 == 0 and col % 2 == 0 else " " for col in range(width)]
-        for row in range(height)
-    ]
-    for ((x, y), word), mark in zip(paths, "BMT"):
-        row, col = 2 * (max_y - y), 2 * x
-        canvas[row][col] = mark
-        for c in word:
-            if c == "H":
-                canvas[row][col + 1] = "-"
-                col += 2
-            else:
-                canvas[row - 1][col] = "|"
-                row -= 2
-            canvas[row][col] = mark
-    return "\n".join("".join(row).rstrip() for row in canvas)

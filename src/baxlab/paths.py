@@ -1,4 +1,4 @@
-"""Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2), as step words.
+"""Triples of monotone H/V lattice paths from (2,0), (1,1), (0,2): step words, text drawings.
 
 Built on :mod:`baxlab.perm` for its size, word and integer rules only.
 """
@@ -90,6 +90,37 @@ class PathTriple(_Words):
     def n(self) -> int:
         """Size of the permutations this triple corresponds to."""
         return len(self.bottom) + 1
+
+
+def render_ascii(t: PathTriple) -> str:
+    """Draw the triple on a dotted grid.
+
+    B/M/T mark the vertices of the bottom/middle/top path and -/| their
+    connecting steps; unused lattice points show as dots.  Paths are drawn
+    bottom first, so an (invalid) intersecting triple overdraws rather than
+    fails.
+    """
+    paths = tuple(zip((BOTTOM_START, MIDDLE_START, TOP_START), (t.bottom, t.middle, t.top)))
+    # the paths are monotone, so their ends bound the grid
+    max_x = max(x + w.count("H") for (x, _), w in paths)
+    max_y = max(y + w.count("V") for (_, y), w in paths)
+    width, height = 2 * max_x + 1, 2 * max_y + 1
+    canvas = [
+        ["." if row % 2 == 0 and col % 2 == 0 else " " for col in range(width)]
+        for row in range(height)
+    ]
+    for ((x, y), word), mark in zip(paths, "BMT"):
+        row, col = 2 * (max_y - y), 2 * x
+        canvas[row][col] = mark
+        for c in word:
+            if c == "H":
+                canvas[row][col + 1] = "-"
+                col += 2
+            else:
+                canvas[row - 1][col] = "|"
+                row -= 2
+            canvas[row][col] = mark
+    return "\n".join("".join(row).rstrip() for row in canvas)
 
 
 _H_BYTES = bytes.maketrans(b"HV", b"\1\0")

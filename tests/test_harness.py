@@ -14,16 +14,11 @@ from hypothesis import strategies as st
 
 from baxlab import cli, harness, jsonio
 from baxlab.bijections import gamma, gamma_prime, psi
-from baxlab.harness import Check, render_ascii, run_suite
+from baxlab.harness import Check, run_suite
 from baxlab.laguerre import _closed_words
-from baxlab.paths import BOTTOM_START, MIDDLE_START, TOP_START, PathTriple, enumerate_tlp
-from baxlab.perm import all_permutations
-from baxlab.qseries import TQPoly, baxter_number
-from vertex_oracles import vertices
-
-
-def ex9_triple():
-    return PathTriple("HVHVVHHV", "VVHHVHVH", "VVHHVVHH")
+from baxlab.paths import PathTriple, enumerate_tlp
+from baxlab.perm import all_permutations, iter_baxter
+from baxlab.qseries import QPoly, TQPoly, baxter_number
 
 
 def test_run_suite_all_passes_at_small_n():
@@ -506,6 +501,14 @@ def test_triple_keys_tell_every_triple_apart():
             if key is not None:
                 assert got.setdefault(key, triple) == triple
         assert sorted(got) == list(range(keys))
+    # the ranks of steps 0..8 number each count of H's words in the order of
+    # a filter over product("HV"), and the size is that count's word count
+    for m in range(9):
+        ranks, _ = harness._word_ranks(m)
+        assert len(ranks) == 2**m
+        for k in range(m + 1):
+            listed = [w for w in map("".join, product("HV", repeat=m)) if w.count("H") == k]
+            assert [ranks[w][1:] for w in listed] == [(len(listed), r) for r in range(len(listed))], (m, k)
 
 
 def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch):
@@ -613,21 +616,48 @@ def test_psi_roundtrip_on_a_full_level_still_checks_the_phi_pair(monkeypatch):
     assert _failures("roundtrip", 6) == [("psi-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]")]
 
 
+def _mark_every_baxter_triple():
+    """Pass B_1..B_8 (10,754 permutations) through gamma-prime-roundtrip's checker."""
+    for m in range(1, 9):
+        assert not any(map(harness._check_gamma_prime_roundtrip, iter_baxter(m)))
+
+
 def test_round_trip_marks_keep_bits_not_keys():
-    # tracemalloc's peak of the roundtrip suite per permutation of S_8
-    # (40,320): 15.9, 15.2, 15.0 and 15.0 bytes on Pythons 3.10.13, 3.11.7,
-    # 3.12.1 and 3.13.0 with the histories counted and the triples marked,
-    # 25.2, 23.8, 23.3 and 23.3 while the histories were marked too; on
-    # 3.11, 14 before any marks, 48.9 with a set of bytes keys per step count
-    # in place of the triple bitmaps (42.4 with a set of their int ranks,
-    # which passes), and 167 with sets for both (191 with str)
+    # the traced memory that the marks of B_1..B_8 keep, per permutation,
+    # after a warm-up pass that leaves out one-time allocations (38-40
+    # bytes): 7.6-8.1 bytes with the bitmaps on Pythons 3.10-3.13, 4.4 with
+    # no marks at all (freed tuples the interpreter keeps for reuse), and
+    # 106-110 with a set of int ranks per step count, 137-138 with a set of
+    # bytes keys in their place
+    _mark_every_baxter_triple()
+    harness._forget_marks()
     tracemalloc.start()
     try:
-        run_suite("roundtrip", 8)
-        peak = tracemalloc.get_traced_memory()[1]
+        _mark_every_baxter_triple()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak / 40320 < 45
+        harness._forget_marks()
+    assert kept / 10754 < 30
+
+
+def test_fv_roundtrip_names_a_history_out_of_its_bounds(monkeypatch):
+    # psi_fv of (3, 1, 2) with its first weight raised past its height
+    real = harness._psi_fv
+
+    def psi_fv(p):
+        word, weights = real(p)
+        return (word, (weights[0] + 5, *weights[1:])) if p == (3, 1, 2) else (word, weights)
+
+    monkeypatch.setattr(harness, "_psi_fv", psi_fv)
+    assert _failures("roundtrip", 3)[0] == ("fv-roundtrip-n3", "history of [3, 1, 2] breaks the weight bounds")
+
+
+def test_fv_roundtrip_names_a_history_that_disagrees_with_the_pattern_test(monkeypatch):
+    # the pattern test turned round on the non-Baxter permutation (2, 4, 1, 3)
+    real = harness._is_baxter
+    monkeypatch.setattr(harness, "_is_baxter", lambda p: real(p) != (p == (2, 4, 1, 3)))
+    assert _failures("roundtrip", 4) == [("fv-roundtrip-n4", "history/pattern disagreement for [2, 4, 1, 3]")]
 
 
 def _corrupt_phi(monkeypatch, length, corrupt):
@@ -680,41 +710,21 @@ def test_image_folds_stop_at_the_triple_enumeration_limit(monkeypatch):
     ]
 
 
-def canvas_marks(text, mark):
-    """Grid coordinates of every occurrence of mark in a rendering."""
-    rows = text.split("\n")
-    height = len(rows)
-    out = set()
-    for r, row in enumerate(rows):
-        for c, ch in enumerate(row):
-            if ch == mark:
-                assert r % 2 == 0 and c % 2 == 0, "vertices sit on even cells"
-                out.add((c // 2, (height - 1 - r) // 2))
-    return out
+def test_insertion_cases_name_the_slot_whose_triple_breaks_the_surgery(monkeypatch):
+    # the top word of the child (2, 1, 3) turned round
+    real = harness._gamma_words
 
+    def gamma_words(q, p):
+        bottom, middle, top = real(q, p)
+        return (bottom, middle, top[::-1] if p == (2, 1, 3) else top)
 
-def test_render_ascii_traces_the_vertices():
-    t = ex9_triple()
-    text = render_ascii(t)
-    assert canvas_marks(text, "B") == set(vertices(BOTTOM_START, t.bottom))
-    assert canvas_marks(text, "M") == set(vertices(MIDDLE_START, t.middle))
-    assert canvas_marks(text, "T") == set(vertices(TOP_START, t.top))
-
-
-def test_render_ascii_empty_triple_shows_three_markers():
-    t = PathTriple("", "", "")
-    text = render_ascii(t)
-    assert canvas_marks(text, "B") == {(2, 0)}
-    assert canvas_marks(text, "M") == {(1, 1)}
-    assert canvas_marks(text, "T") == {(0, 2)}
-    assert "-" not in text and "|" not in text
-
-
-def test_render_ascii_single_h_segments():
-    t = gamma((2, 1))
-    text = render_ascii(t)
-    assert text.count("-") == 3
-    assert "|" not in text
+    monkeypatch.setattr(harness, "_gamma_words", gamma_words)
+    assert _failures("lemma-encodings", 3) == [
+        (
+            "insertion-cases-n3",
+            "insert 3 at slot 3 of [2, 1]: triple ('HV', 'HV', 'VH') but surgery predicts ('HV', 'HV', 'HV')",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +775,11 @@ def test_cli_map_ascii(capsys):
     rc = cli.main(["map", "--perm", "21", "--to", "gamma", "--render", "ascii"])
     assert rc == 0
     assert capsys.readouterr().out.count("-") == 3
+
+
+def test_cli_map_laguerre_ascii(capsys):
+    assert cli.main(["map", "--perm", "2413", "--to", "laguerre", "--render", "ascii"]) == 0
+    assert capsys.readouterr().out == "word:    U R D\nweights: 1 1 2\n"
 
 
 def test_cli_enum_count(capsys):
@@ -1022,6 +1037,38 @@ def test_a_failed_division_at_n2_fails_the_golden_too(monkeypatch, capsys):
     assert checks["tq-rhs-n3"].passed
     assert cli.main(["verify", "--suite", "polynomial", "--n", "2"]) == 1
     assert "FAIL  tq-golden-n2" in capsys.readouterr().out
+
+
+def test_tq_identity_names_the_first_differing_terms(monkeypatch):
+    # the brute-force polynomial of n = 3 with a stray term t^0 q^5
+    real = harness.baxter_polynomial_lhs
+
+    def lhs(m):
+        terms = {(a, b): c for a, b, c in real(m).terms()}
+        return TQPoly({**terms, (0, 5): 1}) if m == 3 else real(m)
+
+    monkeypatch.setattr(harness, "baxter_polynomial_lhs", lhs)
+    assert _failures("polynomial", 3) == [
+        ("tq-identity-n3", "coefficient mismatch, first differing terms [(0, 5, 1)]")
+    ]
+
+
+@pytest.mark.parametrize(
+    "coeffs, detail",
+    [({0: 1, 1: 2, 2: 1}, "[3,1]_q sums to 4, binomial is 3"), ({0: 2, 1: 1}, "[3,1]_q is not symmetric")],
+    ids=["sum", "symmetry"],
+)
+def test_qbinomial_names_the_rule_that_a_polynomial_breaks(monkeypatch, coeffs, detail):
+    real = harness.q_binomial
+    monkeypatch.setattr(harness, "q_binomial", lambda m, k: QPoly(coeffs) if (m, k) == (3, 1) else real(m, k))
+    assert _failures("polynomial", 3) == [("qbinomial-n3", detail)]
+
+
+def test_tlp_count_names_the_k_whose_enumeration_is_short(monkeypatch):
+    # the first triple of size 3 with one horizontal step per path dropped
+    real = harness._tlp_words
+    monkeypatch.setattr(harness, "_tlp_words", lambda m, k: list(real(m, k))[(m, k) == (3, 1) :])
+    assert _failures("counts", 3) == [("tlp-count-n3", "k=1: enumerated 3, formula 4")]
 
 
 def test_cli_verify_unknown_suite_is_usage_error():

@@ -150,6 +150,16 @@ def test_history_forms():
         history_from_obj({"word": "UD", "weights": [1, "x"]})
 
 
+@pytest.mark.parametrize(
+    "obj", [{"word": "UD"}, {"word": "UD", "weights": [1, 1], "extra": 0}, ["UD", [1, 1]], None]
+)
+def test_history_from_obj_wants_exactly_the_two_keys(obj):
+    with pytest.raises(ValueError) as info:
+        history_from_obj(obj)
+    assert type(info.value) is ValueError
+    assert str(info.value) == 'a history object needs exactly the keys "word" and "weights"'
+
+
 @pytest.mark.parametrize("weights", ["", {}, "12", 5, None])
 def test_history_from_obj_wants_a_weight_array(weights):
     # LaguerreHistory takes any iterable, and "" or {} would iterate as no weights

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baxlab.bijections import gamma
 from baxlab.jsonio import triple_from_obj
 from baxlab.paths import (
     BOTTOM_START,
@@ -16,6 +17,7 @@ from baxlab.paths import (
     expected_endpoints,
     h_prefix,
     is_nonintersecting,
+    render_ascii,
     tlp_parameters,
 )
 from vertex_oracles import all_triples, is_nonintersecting_by_vertices, vertices
@@ -277,3 +279,40 @@ def test_enumerate_tlp_counts_match_formula_up_to_nine():
             assert count == tlp_count_formula(n, k), (n, k)
             total += count
         assert total == baxter_number(n)
+
+
+def canvas_marks(text, mark):
+    """Grid coordinates of every occurrence of mark in a rendering."""
+    rows = text.split("\n")
+    height = len(rows)
+    out = set()
+    for r, row in enumerate(rows):
+        for c, ch in enumerate(row):
+            if ch == mark:
+                assert r % 2 == 0 and c % 2 == 0, "vertices sit on even cells"
+                out.add((c // 2, (height - 1 - r) // 2))
+    return out
+
+
+def test_render_ascii_traces_the_vertices():
+    t = EX9_TRIPLE
+    text = render_ascii(t)
+    assert canvas_marks(text, "B") == set(vertices(BOTTOM_START, t.bottom))
+    assert canvas_marks(text, "M") == set(vertices(MIDDLE_START, t.middle))
+    assert canvas_marks(text, "T") == set(vertices(TOP_START, t.top))
+
+
+def test_render_ascii_empty_triple_shows_three_markers():
+    t = PathTriple("", "", "")
+    text = render_ascii(t)
+    assert canvas_marks(text, "B") == {(2, 0)}
+    assert canvas_marks(text, "M") == {(1, 1)}
+    assert canvas_marks(text, "T") == {(0, 2)}
+    assert "-" not in text and "|" not in text
+
+
+def test_render_ascii_single_h_segments():
+    t = gamma((2, 1))
+    text = render_ascii(t)
+    assert text.count("-") == 3
+    assert "|" not in text

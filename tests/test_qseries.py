@@ -126,6 +126,25 @@ def test_exact_div_goldens():
         exact_div(p, TQPoly({(0, 0): 1}))
 
 
+def test_exact_div_names_a_leading_coefficient_that_does_not_divide():
+    # 1 + 3q over 1 + 2q: the leading coefficient 2 does not divide 3
+    with pytest.raises(InexactDivisionError) as info:
+        exact_div(QPoly({0: 1, 1: 3}), QPoly({0: 1, 1: 2}))
+    assert str(info.value) == "leading coefficient not divisible"
+
+
+def test_polynomials_print_their_terms_and_hash_as_they_compare():
+    assert repr(QPoly()) == "QPoly(0)"
+    assert repr(QPoly({0: 1, 2: -3})) == "QPoly(1 + -3*q^2)"
+    assert repr(TQPoly()) == "TQPoly(0)"
+    assert repr(baxter_polynomial_rhs(2)) == "TQPoly(1*t^0*q^0 + 1*t^1*q^3)"
+    # a zero coefficient is no term, so equal polynomials hash alike
+    assert hash(QPoly({1: 2, 3: 0})) == hash(QPoly({1: 2}))
+    assert len({QPoly({1: 2, 3: 0}), QPoly({1: 2}), QPoly({1: 3})}) == 2
+    assert hash(TQPoly({(1, 3): 1, (2, 0): 0})) == hash(TQPoly({(1, 3): 1}))
+    assert len({TQPoly({(1, 3): 1, (2, 0): 0}), TQPoly({(1, 3): 1}), TQPoly()}) == 2
+
+
 def test_baxter_numbers():
     assert [baxter_number(n) for n in range(1, 13)] == BAXTER_NUMBERS
     for n in range(1, 6):

@@ -132,3 +132,22 @@ def test_every_exception_class_of_the_package_is_raised_in_it():
         if isinstance(node, ast.Raise)
     }
     assert defined and sorted(defined - raised) == []
+
+
+def test_no_suite_rebinds_the_runs_passed_set():
+    # run_suite hands every suite the one set of the labels that passed so
+    # far in the run, and the round trips' shortcuts read it; a suite that
+    # assigned to the name would hand any later reader a bool
+    suites = [
+        node
+        for node in ast.walk(_package_trees()["harness"])
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")
+    ]
+    rebound = [
+        f"{suite.name}:{node.lineno}"
+        for suite in suites
+        for node in ast.walk(suite)
+        if isinstance(node, ast.Name) and node.id == "passed" and not isinstance(node.ctx, ast.Load)
+    ]
+    assert [suite.args.args[1].arg for suite in suites] == ["passed"] * 6
+    assert rebound == []
