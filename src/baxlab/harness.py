@@ -119,18 +119,12 @@ def _split_key(key: bytes) -> tuple[str, str, str]:
 # stands in for the reverse scan.  Each forward item that passes marks its
 # image instead: both maps of the pair are pure, so the reverse check of a
 # marked triple would compute the same two values again.  Keys are exact
-# and small ranks, one bit each in a bitmap per step count.  The reverse
-# side reads a mark only for an item that _tlp_words could yield.  run_suite
-# empties the marks on entry and on exit.  A pool's workers mark their own
-# and die with the pool: a reverse item whose forward item went to another
-# worker is checked directly, so the report does not depend on the worker
-# count.
-
-_triple_levels: dict[int, tuple[dict, bytearray]] = {}  # by step count: its _word_ranks, a bit per key
-
-
-def _forget_marks() -> None:
-    _triple_levels.clear()
+# and small ranks, one bit each in a bitmap per level, which _suite_roundtrip
+# makes and drops with the level.  The reverse side reads a mark only for an
+# item that _tlp_words could yield.  Marks set in a pool's worker would stay
+# there, so the marking scan runs in this process; each chunk of the reverse
+# scan carries a copy of the whole bitmap, so a pool runs only pure checkers
+# and the report does not depend on the worker count.
 
 
 def _word_ranks(steps: int) -> tuple[dict[str, tuple[int, int, int]], int]:
@@ -165,26 +159,21 @@ def _triple_key(ranks: dict, words: tuple[str, str, str]) -> int | None:
     return base + (rank * size + middle[2]) * size + top[2]
 
 
-def _mark_triple(words: tuple[str, str, str]) -> None:
-    """Mark a triple that _gamma_words returned, up to TLP_ENUM_LIMIT - 1 steps."""
-    steps = len(words[0])
-    if steps < TLP_ENUM_LIMIT:
-        level = _triple_levels.get(steps)
-        if level is None:
-            ranks, keys = _word_ranks(steps)
-            level = _triple_levels[steps] = (ranks, bytearray((keys + 7) // 8))
-        key = _triple_key(level[0], words)
-        if key is not None:
-            level[1][key >> 3] |= 1 << (key & 7)
+def _mark_triple(level: tuple[dict, bytearray], words: tuple[str, str, str]) -> None:
+    """Mark a triple that _gamma_words returned in the level of its length:
+    the _word_ranks of that length and a bit per key."""
+    key = _triple_key(level[0], words)
+    if key is not None:
+        level[1][key >> 3] |= 1 << (key & 7)
 
 
-def _triple_verified(words: tuple[str, str, str]) -> bool:
+def _triple_verified(level: tuple[dict, bytearray], words: tuple[str, str, str]) -> bool:
     """True iff words is a triple that _tlp_words yields, a tuple of three
-    strs over H and V with one length and one count of H, and is marked."""
+    strs over H and V with the level's length and one count of H, and is
+    marked there."""
     if type(words) is not tuple or len(words) != 3 or not {str}.issuperset(map(type, words)):
         return False
-    level = _triple_levels.get(len(words[0]))
-    key = None if level is None else _triple_key(level[0], words)
+    key = _triple_key(level[0], words)
     return key is not None and level[1][key >> 3] >> (key & 7) & 1 == 1
 
 
@@ -204,11 +193,12 @@ def _check_fv(p: Perm) -> str | None:
     return None
 
 
-def _check_gamma_prime_roundtrip(p: Perm) -> str | None:
+def _check_gamma_prime_roundtrip(level: tuple[dict, bytearray] | None, p: Perm) -> str | None:
     words = _gamma_words(_inverse(p), p)
     if _gamma_prime_inverse(*words) != p:
         return f"round trip failed for {_perm_json(p)}"
-    _mark_triple(words)
+    if level is not None:
+        _mark_triple(level, words)
     return None
 
 
@@ -269,8 +259,8 @@ def _check_history_in_image(heights: dict[str, tuple[int, ...]], history: tuple[
     return _check_history_roundtrip(history)
 
 
-def _check_tlp_roundtrip(words: tuple[str, str, str]) -> str | None:
-    if _triple_verified(words):
+def _check_tlp_roundtrip(level: tuple[dict, bytearray], words: tuple[str, str, str]) -> str | None:
+    if _triple_verified(level, words):
         return None
     p = _gamma_prime_inverse(*words)
     if _gamma_words(_inverse(p), p) != words:
@@ -356,9 +346,10 @@ class _Raised(NamedTuple):
 
 
 def _guarded(checker: Callable[[object], str | None], item: object) -> str | _Raised | None:
-    """checker(item), with an exception returned as its :class:`_Raised`: a
-    pool's imap re-raises a worker's exception at the first item of its
-    chunk, so the workers catch it at its own item."""
+    """checker(item), with an exception returned as its :class:`_Raised`:
+    a pool's imap would re-raise a worker's exception at the first item of
+    its chunk, and map would end at a StopIteration, so every item runs
+    through here, in this process and in a pool's workers."""
     try:
         return checker(item)
     except Exception as exc:
@@ -372,7 +363,8 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
     On success the detail is ok_detail with the item count put in.  An
     exception that the checker raises, here or in a pool's worker, fails
     the check with the item's 1-based position in the scan and the
-    exception's type and message, the same for any worker count.  On a
+    exception's type and message, the same for any worker count; the
+    except below only sees an exception of the items themselves.  On a
     failure the feed ends too: a pool's task thread, which pulls the items
     ahead of the results, would otherwise hand its workers the rest of the
     level before the next scan's items.
@@ -388,10 +380,10 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
     count = 0
     msg = None
     try:
-        for count, msg in enumerate(imap(scan.checker, feed()), 1):
+        for count, msg in enumerate(imap(functools.partial(_guarded, scan.checker), feed()), 1):
             if msg is not None:
                 break
-    except Exception as exc:  # the checker raised in this process
+    except Exception as exc:  # the items raised
         count += 1
         msg = _Raised(type(exc).__name__, str(exc))
     if msg is None:
@@ -404,7 +396,7 @@ def _scan_check(scan: _Scan, imap: Imap) -> Check:
 
 # ---------------------------------------------------------------------------
 # suites: each yields its checks in report order, a finished Check for a fold
-# it runs itself and a _Scan for run_suite to stream
+# or scan it runs itself and a _Scan for run_suite to stream
 
 def _image_key(p: Perm) -> bytes:
     """gamma(p) keyed by its concatenated words: equal lengths make the key
@@ -523,22 +515,29 @@ def _suite_roundtrip(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
             "all {} histories round trip",
         )
     for m in range(1, n + 1):
-        yield _Scan(
+        # up to the cap, the level's marks: filled here in this process, read
+        # by the reverse scan (see "Triples, by marks"); none above it
+        level = None
+        if m <= TLP_ENUM_LIMIT:
+            ranks, keys = _word_ranks(m - 1)
+            level = (ranks, bytearray((keys + 7) // 8))
+        forward = _Scan(
             f"gamma-prime-roundtrip-n{m}",
-            _check_gamma_prime_roundtrip,
+            functools.partial(_check_gamma_prime_roundtrip, level),
             iter_baxter(m),
             "inverse algorithm returns all {} Baxter permutations",
         )
+        yield forward if level is None else _scan_check(forward, map)
         yield _Scan(
             f"psi-roundtrip-n{m}",
             _check_phi_roundtrip if f"fv-roundtrip-n{m}" in passed else _check_psi_roundtrip,
             iter_baxter(m),
             "round trip on all {} Baxter permutations",
         )
-        if m <= TLP_ENUM_LIMIT:
+        if level is not None:
             yield _Scan(
                 f"tlp-roundtrip-n{m}",
-                _check_tlp_roundtrip,
+                functools.partial(_check_tlp_roundtrip, level),
                 (w for k in range(m) for w in _tlp_words(m, k)),
                 "all {} triples round trip through the inverse algorithm",
             )
@@ -719,24 +718,16 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     names = _SUITES if name == "all" else (name,)
     workers = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
-    _forget_marks()
-    try:
-        with _Pool(workers) if workers > 1 else nullcontext() as pool:
-            if pool is None:
-                imap = map
-            else:
-                def imap(checker: Callable, items: Iterable) -> Iterator:
-                    return pool.imap(functools.partial(_guarded, checker), items, chunksize=_CHUNK)
-            checks = []
-            passed: set[str] = set()
-            for sub in names:
-                for row in _SUITES[sub](n, passed):
-                    check = row if isinstance(row, Check) else _scan_check(row, imap)
-                    checks.append(check)
-                    if check.passed:
-                        passed.add(check.label)
-    finally:
-        _forget_marks()
+    with _Pool(workers) if workers > 1 else nullcontext() as pool:
+        imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
+        checks = []
+        passed: set[str] = set()
+        for sub in names:
+            for row in _SUITES[sub](n, passed):
+                check = row if isinstance(row, Check) else _scan_check(row, imap)
+                checks.append(check)
+                if check.passed:
+                    passed.add(check.label)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Report(name, n, tuple(checks), elapsed_ms)
 

@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import pickle
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -108,6 +109,18 @@ class RecordingPool:
     def imap(self, fn, items, chunksize=1):
         self.received.append(items)
         return map(fn, items)
+
+
+class PicklingPool(RecordingPool):
+    """A RecordingPool that sends the function of each ``imap`` call through
+    pickle, as ``Pool.imap`` does with each chunk for its workers, and
+    records the checker inside it."""
+
+    checkers = []
+
+    def imap(self, fn, items, chunksize=1):
+        self.checkers.append(fn.args[0])
+        return super().imap(pickle.loads(pickle.dumps(fn)), items, chunksize)
 
 
 @pytest.fixture
@@ -302,10 +315,6 @@ def _failures(suite, n, jobs=1):
     return [(c.label, c.detail) for c in run_suite(suite, n, jobs).checks if not c.passed]
 
 
-def _marks_are_empty():
-    return not harness._triple_levels
-
-
 # psi_fv of (3, 1, 4, 5, 2), and gamma_prime's words of (2, 4, 3, 5, 1)
 _H0 = ("UBDR", (1, 2, 1, 1))
 _T0 = ("HVHV", "HVHV", "VVHH")
@@ -359,36 +368,27 @@ def test_a_wrong_inverse_fails_both_round_trips(monkeypatch, corrupt, want):
     # run that marks nothing
     corrupt(monkeypatch)
     assert _failures("roundtrip", 5) == want
-    assert _marks_are_empty()
 
 
 def test_no_mark_outlives_its_run(monkeypatch):
+    # the marks of a passing run are not read by the next one, which
+    # computes the broken triple again
     assert run_suite("roundtrip", 5).passed
-    assert _marks_are_empty()
-    # the history check leaves no state; a triple mark left by a checker
-    # called outside a run is dropped on entry
-    assert harness._check_fv((3, 1, 4, 5, 2)) is None
-    assert _marks_are_empty()
-    harness._check_gamma_prime_roundtrip((2, 4, 3, 5, 1))
-    assert harness._triple_levels
     _break_gamma_prime_inverse(monkeypatch)
     assert ("tlp-roundtrip-n5", f"triple {_triple_detail(*_T0)} does not round trip") in _failures("roundtrip", 5)
-    assert _marks_are_empty()
 
     real_iter_baxter = harness.iter_baxter
 
     def iter_baxter(m):
         if m == 5:
-            assert sorted(harness._triple_levels) == [0, 1, 2, 3]
             raise RuntimeError("stop")
         return real_iter_baxter(m)
 
-    # the forward scans have marked the triples up to four steps when the
-    # enumerator of B_5 raises in the suite itself
+    # the enumerator of B_5 raises in the suite itself, after the marking
+    # scans of B_1..B_4 have run in this process
     monkeypatch.setattr(harness, "iter_baxter", iter_baxter)
     with pytest.raises(RuntimeError, match="stop"):
         run_suite("roundtrip", 5)
-    assert _marks_are_empty()
 
 
 def _append(monkeypatch, name, args, extra):
@@ -467,7 +467,6 @@ def test_a_faulty_enumerator_fails_as_the_direct_path_does(monkeypatch):
             want = [("tlp-roundtrip-n3", "item 6 raised IndexError: list index out of range")]
             assert _failures("roundtrip", 4, jobs) == want, jobs
             monkeypatch.setattr(harness, "_tlp_words", real_tlp_words)
-    assert _marks_are_empty()
 
 
 def test_a_raising_checker_stops_the_feed():
@@ -486,6 +485,21 @@ def test_a_raising_checker_stops_the_feed():
     check = harness._scan_check(scan, map)
     assert check == Check("raises-at-3", False, "item 4 raised ZeroDivisionError: integer division or modulo by zero")
     assert drawn == [0, 1, 2, 3]
+
+
+def stops_at_three(i):
+    if i == 3:
+        next(iter(()))  # a StopIteration, which map alone takes for the end of the items
+
+
+def test_a_checker_that_raises_stop_iteration_fails_its_check():
+    # the same failed check in this process as in a pool's workers, not a
+    # scan that passes on its first three items
+    want = Check("x", False, "item 4 raised StopIteration: ")
+    assert harness._scan_check(harness._Scan("x", stops_at_three, range(10), "all {} items"), map) == want
+    with harness._Pool(2) as pool:
+        imap = functools.partial(pool.imap, chunksize=4)
+        assert harness._scan_check(harness._Scan("x", stops_at_three, range(10), "all {} items"), imap) == want
 
 
 def test_triple_keys_tell_every_triple_apart():
@@ -511,17 +525,17 @@ def test_triple_keys_tell_every_triple_apart():
             assert [ranks[w][1:] for w in listed] == [(len(listed), r) for r in range(len(listed))], (m, k)
 
 
-def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch):
-    # every key of lengths 0-3 marked
-    levels = {}
+def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark():
+    # a level per length 0-3, every key marked
+    levels = []
     for m in range(4):
         ranks, keys = harness._word_ranks(m)
-        levels[m] = (ranks, bytearray(b"\xff") * (keys // 8 + 1))
-    monkeypatch.setattr(harness, "_triple_levels", levels)
-    assert harness._triple_verified(("HV", "VH", "HV"))
-    assert harness._triple_verified(("", "", ""))
+        levels.append((ranks, bytearray(b"\xff") * (keys // 8 + 1)))
+    assert harness._triple_verified(levels[2], ("HV", "VH", "HV"))
+    assert harness._triple_verified(levels[0], ("", "", ""))
     # unequal lengths or counts of H, other letters, a list, two words,
-    # bytes, and a length that has no marks
+    # bytes, and a length that has no marks, in any level; and a triple
+    # read in the level of another length
     for bad in [
         ("HV", "HV", "H"),
         ("HV", "HV", "HH"),
@@ -532,7 +546,9 @@ def test_only_a_triple_that_the_enumerator_could_yield_reads_a_mark(monkeypatch)
         (b"HV", "VH", "HV"),
         ("HVVV", "VHVV", "HVVV"),
     ]:
-        assert not harness._triple_verified(bad), bad
+        for level in levels:
+            assert not harness._triple_verified(level, bad), bad
+    assert not harness._triple_verified(levels[3], ("HV", "VH", "HV"))
 
 
 def _count_inverse_calls(monkeypatch):
@@ -563,6 +579,21 @@ def test_reverse_scans_read_every_mark(monkeypatch):
     perms = sum(factorial(m) for m in range(1, 7))
     baxter = sum(baxter_number(m) for m in range(1, 7))
     assert calls == {"_psi_fv_inverse": perms, "_gamma_prime_inverse": baxter}
+
+
+def test_a_pools_workers_read_every_mark(monkeypatch):
+    # the marking scans run in this process, and the reverse scans' workers
+    # get the whole level with each chunk: the forward scans invert each
+    # Baxter permutation once, the reverse scans none
+    monkeypatch.setattr(harness, "_Pool", PicklingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    PicklingPool.checkers.clear()
+    calls = _count_inverse_calls(monkeypatch)
+    assert run_suite("roundtrip", 6, jobs=2).passed
+    assert calls["_gamma_prime_inverse"] == sum(baxter_number(m) for m in range(1, 7))
+    funcs = [getattr(checker, "func", checker) for checker in PicklingPool.checkers]
+    assert harness._check_gamma_prime_roundtrip not in funcs
+    assert funcs.count(harness._check_tlp_roundtrip) == 6
 
 
 def test_the_history_count_holds_with_a_pool(monkeypatch, recording_pool):
@@ -616,28 +647,32 @@ def test_psi_roundtrip_on_a_full_level_still_checks_the_phi_pair(monkeypatch):
     assert _failures("roundtrip", 6) == [("psi-roundtrip-n5", "round trip failed for [2, 4, 3, 5, 1]")]
 
 
-def _mark_every_baxter_triple():
-    """Pass B_1..B_8 (10,754 permutations) through gamma-prime-roundtrip's checker."""
-    for m in range(1, 9):
-        assert not any(map(harness._check_gamma_prime_roundtrip, iter_baxter(m)))
+def _suite_marks(n):
+    """The levels of marks that roundtrip's reverse scans up to n would read:
+    the suite's own marking scans run, its other scans are left unrun."""
+    levels = []
+    for row in harness._suite_roundtrip(n, set()):
+        if isinstance(row, Check):
+            assert row.passed, row
+        elif row.label.startswith("tlp-roundtrip-"):
+            levels.append(row.checker.args[0])
+    return levels
 
 
 def test_round_trip_marks_keep_bits_not_keys():
     # the traced memory that the marks of B_1..B_8 keep, per permutation,
-    # after a warm-up pass that leaves out one-time allocations (38-40
-    # bytes): 7.6-8.1 bytes with the bitmaps on Pythons 3.10-3.13, 4.4 with
-    # no marks at all (freed tuples the interpreter keeps for reuse), and
-    # 106-110 with a set of int ranks per step count, 137-138 with a set of
-    # bytes keys in their place
-    _mark_every_baxter_triple()
-    harness._forget_marks()
+    # with every level kept, after a warm-up pass that leaves out one-time
+    # allocations: 7.8 bytes with the bitmaps on Python 3.11 (7.6-8.1 on
+    # 3.10-3.13 while a module dict held them), and 107-110 with a set of
+    # int ranks per level, 134-138 with a set of bytes keys in their place
+    assert len(_suite_marks(8)) == 8
     tracemalloc.start()
     try:
-        _mark_every_baxter_triple()
+        levels = _suite_marks(8)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-        harness._forget_marks()
+    assert len(levels) == 8
     assert kept / 10754 < 30
 
 
