@@ -112,7 +112,7 @@ def _split_key(key: bytes) -> tuple[str, str, str]:
 # item that _histories could yield and checks any other item, such as a
 # faulty enumerator's, directly.  The left inverse alone leaves
 # psi-roundtrip-n{m} only the phi pair to check.  Both shortcuts read the
-# labels that passed earlier in the run, so they hold for any worker count.
+# suite's own fv-roundtrip verdicts, so they hold for any worker count.
 #
 # Triples, by marks.  gamma-prime-roundtrip does not check that its images
 # are distinct triples, and their number is the paper's theorem, so no count
@@ -327,15 +327,8 @@ def _Pool(processes: int):
 # ``map``, or the lazy, ordered ``imap`` of a worker pool: results come back in
 # item order either way, so a report does not depend on the worker count
 Imap = Callable[[Callable, Iterable], Iterator]
-
-
-class _Scan(NamedTuple):
-    """A check that streams items through checker; ok_detail takes the count."""
-
-    label: str
-    checker: Callable[[object], str | None]
-    items: Iterable
-    ok_detail: str
+# the run's scan runner, _scan_check over its imap: (label, checker, items, ok_detail)
+Scan = Callable[[str, Callable[[object], str | None], Iterable, str], Check]
 
 
 class _Raised(NamedTuple):
@@ -356,47 +349,50 @@ def _guarded(checker: Callable[[object], str | None], item: object) -> str | _Ra
         return _Raised(type(exc).__name__, str(exc))
 
 
-def _scan_check(scan: _Scan, imap: Imap) -> Check:
+def _scan_check(imap: Imap, label: str, checker: Callable[[object], str | None], items: Iterable, ok_detail: str) -> Check:
     """Stream the items through the checker; stop at the first failure message
     or exception.
 
     On success the detail is ok_detail with the item count put in.  An
-    exception that the checker raises, here or in a pool's worker, fails
-    the check with the item's 1-based position in the scan and the
-    exception's type and message, the same for any worker count; the
-    except below only sees an exception of the items themselves.  On a
-    failure the feed ends too: a pool's task thread, which pulls the items
-    ahead of the results, would otherwise hand its workers the rest of the
-    level before the next scan's items.
+    exception that the checker raises, here or in a pool's worker, or that
+    the items raise, fails the check with the item's 1-based position in
+    the scan and the exception's type and message, the same for any worker
+    count: the feed reads the items here and ends at their exception, which
+    a pool's imap would pin on the first item of the chunk it was building.
+    On a failure the feed ends too: a pool's task thread, which pulls the
+    items ahead of the results, would otherwise hand its workers the rest
+    of the level before the next scan's items.
     """
     failed = False
+    raised = None
 
     def feed() -> Iterator:
-        for item in scan.items:
-            if failed:
-                return
-            yield item
+        nonlocal raised
+        try:
+            for item in items:
+                if failed:
+                    return
+                yield item
+        except Exception as exc:
+            raised = _Raised(type(exc).__name__, str(exc))
 
     count = 0
     msg = None
-    try:
-        for count, msg in enumerate(imap(functools.partial(_guarded, scan.checker), feed()), 1):
-            if msg is not None:
-                break
-    except Exception as exc:  # the items raised
-        count += 1
-        msg = _Raised(type(exc).__name__, str(exc))
+    for count, msg in enumerate(imap(functools.partial(_guarded, checker), feed()), 1):
+        if msg is not None:
+            break
+    if msg is None and raised is not None:  # every item passed, then the items raised
+        count, msg = count + 1, raised
     if msg is None:
-        return Check(scan.label, True, scan.ok_detail.format(count))
+        return Check(label, True, ok_detail.format(count))
     failed = True
     if isinstance(msg, _Raised):
         msg = f"item {count} raised {msg.kind}: {msg.message}"
-    return Check(scan.label, False, msg)
+    return Check(label, False, msg)
 
 
 # ---------------------------------------------------------------------------
-# suites: each yields its checks in report order, a finished Check for a fold
-# or scan it runs itself and a _Scan for run_suite to stream
+# suites: each yields its finished checks in report order
 
 def _image_key(p: Perm) -> bytes:
     """gamma(p) keyed by its concatenated words: equal lengths make the key
@@ -458,7 +454,7 @@ def _image_mismatch(m: int, k: int, keys: set[bytes], count: int) -> str | None:
     )
 
 
-def _suite_bijection(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_bijection(n: int, scan: Scan) -> Iterator[Check]:
     for m in range(1, min(n, TLP_ENUM_LIMIT) + 1):
         # the image of the level as one set of keys and a count per k; a
         # failure walks the level again to name a permutation
@@ -487,30 +483,33 @@ def _suite_bijection(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
         )
 
 
-def _history_checker(length: int, passed: set[str]) -> Callable[[object], str | None]:
+def _history_checker(length: int, fv_passed: bool) -> Callable[[object], str | None]:
     """The checker of history-roundtrip-len{length}: by count once
     fv-roundtrip-n{length + 1} has passed and the closed words of that length
     carry (length + 1)! weightings, else directly.  Its table of heights is
     made per scan and lives only as long as the scan's checker."""
-    if f"fv-roundtrip-n{length + 1}" in passed:
+    if fv_passed:
         heights = dict(_closed_words(length))
         if sum(map(prod, heights.values())) == factorial(length + 1):
             return functools.partial(_check_history_in_image, heights)
     return _check_history_roundtrip
 
 
-def _suite_roundtrip(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_roundtrip(n: int, scan: Scan) -> Iterator[Check]:
+    fv = []  # whether fv-roundtrip-n{m} passed, at index m - 1
     for m in range(1, min(n, FULL_SCAN_LIMIT) + 1):
-        yield _Scan(
+        check = scan(
             f"fv-roundtrip-n{m}",
             _check_fv,
             all_permutations(m),
             "round trip and history/pattern agreement on all {} permutations",
         )
-    for length in range(min(n, FULL_SCAN_LIMIT)):  # histories of length L <-> S_{L+1}
-        yield _Scan(
+        fv.append(check.passed)
+        yield check
+    for length in range(len(fv)):  # histories of length L <-> S_{L+1}
+        yield scan(
             f"history-roundtrip-len{length}",
-            _history_checker(length, passed),
+            _history_checker(length, fv[length]),
             _histories(length),
             "all {} histories round trip",
         )
@@ -521,21 +520,21 @@ def _suite_roundtrip(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
         if m <= TLP_ENUM_LIMIT:
             ranks, keys = _word_ranks(m - 1)
             level = (ranks, bytearray((keys + 7) // 8))
-        forward = _Scan(
+        forward = scan if level is None else functools.partial(_scan_check, map)
+        yield forward(
             f"gamma-prime-roundtrip-n{m}",
             functools.partial(_check_gamma_prime_roundtrip, level),
             iter_baxter(m),
             "inverse algorithm returns all {} Baxter permutations",
         )
-        yield forward if level is None else _scan_check(forward, map)
-        yield _Scan(
+        yield scan(
             f"psi-roundtrip-n{m}",
-            _check_phi_roundtrip if f"fv-roundtrip-n{m}" in passed else _check_psi_roundtrip,
+            _check_phi_roundtrip if m <= len(fv) and fv[m - 1] else _check_psi_roundtrip,
             iter_baxter(m),
             "round trip on all {} Baxter permutations",
         )
         if level is not None:
-            yield _Scan(
+            yield scan(
                 f"tlp-roundtrip-n{m}",
                 functools.partial(_check_tlp_roundtrip, level),
                 (w for k in range(m) for w in _tlp_words(m, k)),
@@ -543,9 +542,9 @@ def _suite_roundtrip(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
             )
 
 
-def _suite_lemma_encodings(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_lemma_encodings(n: int, scan: Scan) -> Iterator[Check]:
     for m in range(1, n + 1):
-        yield _Scan(
+        yield scan(
             f"psi-encodings-n{m}",
             _check_psi_encoding,
             iter_baxter(m),
@@ -568,7 +567,7 @@ def _suite_lemma_encodings(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
             failure or f"all {len(seen)} statistic triples are distinct",
         )
     for m in range(2, min(n, INSERTION_CASE_LIMIT) + 1):
-        yield _Scan(
+        yield scan(
             f"insertion-cases-n{m}",
             _check_insertion_cases,
             iter_baxter(m - 1),
@@ -576,7 +575,7 @@ def _suite_lemma_encodings(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
         )
 
 
-def _suite_polynomial(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_polynomial(n: int, scan: Scan) -> Iterator[Check]:
     golden = None
     for m in range(1, n + 1):
         try:
@@ -607,7 +606,7 @@ def _suite_polynomial(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
             yield Check(f"tq-identity-n{m}", ok, detail)
     if golden is not None:
         yield golden
-    yield _Scan(
+    yield scan(
         f"qbinomial-n{n}",
         _check_q_binomial,
         ((m, k) for m in range(n + 1) for k in range(m + 1)),
@@ -615,7 +614,7 @@ def _suite_polynomial(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
     )
 
 
-def _suite_counts(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_counts(n: int, scan: Scan) -> Iterator[Check]:
     for m in range(1, n + 1):
         generated = sum(1 for _ in iter_baxter(m))
         formula = baxter_number(m)
@@ -658,7 +657,7 @@ _BAX6_GOLDEN = [
 ]
 
 
-def _suite_corollaries(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
+def _suite_corollaries(n: int, scan: Scan) -> Iterator[Check]:
     for m in range(1, n + 1):
         alt = ralt = 0
         special: list[Perm] = []
@@ -689,9 +688,8 @@ def _suite_corollaries(n: int, passed: set[str]) -> Iterator[Check | _Scan]:
             )
 
 
-# each suite takes the bound and the labels of the checks that passed earlier
-# in the run, which grows as run_suite consumes its rows
-_SUITES: dict[str, Callable[[int, set[str]], Iterator[Check | _Scan]]] = {
+# each suite takes the bound and the run's scan runner
+_SUITES: dict[str, Callable[[int, Scan], Iterator[Check]]] = {
     "bijection": _suite_bijection,
     "roundtrip": _suite_roundtrip,
     "lemma-encodings": _suite_lemma_encodings,
@@ -720,14 +718,8 @@ def run_suite(name: str, n: int, jobs: int = 1) -> Report:
     started = time.perf_counter()
     with _Pool(workers) if workers > 1 else nullcontext() as pool:
         imap = map if pool is None else functools.partial(pool.imap, chunksize=_CHUNK)
-        checks = []
-        passed: set[str] = set()
-        for sub in names:
-            for row in _SUITES[sub](n, passed):
-                check = row if isinstance(row, Check) else _scan_check(row, imap)
-                checks.append(check)
-                if check.passed:
-                    passed.add(check.label)
+        scan = functools.partial(_scan_check, imap)
+        checks = tuple(check for sub in names for check in _SUITES[sub](n, scan))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return Report(name, n, tuple(checks), elapsed_ms)
+    return Report(name, n, checks, elapsed_ms)
 

@@ -177,12 +177,11 @@ def test_scan_stops_at_the_first_failure():
             yield p
 
     want = Check("x", False, "(2, 1, 3, 4, 5) starts with a descent")
-    assert harness._scan_check(harness._Scan("x", starts_with_a_descent, items(), "{}"), map) == want
+    assert harness._scan_check(map, "x", starts_with_a_descent, items(), "{}") == want
     assert len(consumed) == 25
     with harness._Pool(2) as pool:
         imap = functools.partial(pool.imap, chunksize=8)
-        scan = harness._Scan("x", starts_with_a_descent, all_permutations(5), "{}")
-        assert harness._scan_check(scan, imap) == want
+        assert harness._scan_check(imap, "x", starts_with_a_descent, all_permutations(5), "{}") == want
 
 
 def does_not_start_with_one(p):
@@ -202,10 +201,10 @@ def test_a_failed_scan_stops_feeding_the_pool():
         imap = functools.partial(pool.imap, chunksize=harness._CHUNK)
         # item 40,321 of S_9 is the first to start with 2
         want = Check("x", False, "(2, 1, 3, 4, 5, 6, 7, 8, 9) does not start with 1")
-        assert harness._scan_check(harness._Scan("x", does_not_start_with_one, items(), "{}"), imap) == want
+        assert harness._scan_check(imap, "x", does_not_start_with_one, items(), "{}") == want
         fed = consumed
         ones = [(1,)] * 10
-        check = harness._scan_check(harness._Scan("y", does_not_start_with_one, ones, "{}"), imap)
+        check = harness._scan_check(imap, "y", does_not_start_with_one, ones, "{}")
         assert check == Check("y", True, "10")
     # once the failed check has returned, the feed pulls at most one more
     # item and ends; the pool runs its jobs in order, so once the next scan's
@@ -481,8 +480,7 @@ def test_a_raising_checker_stops_the_feed():
     def checker(i):
         1 // (3 - i)  # raises at the fourth item
 
-    scan = harness._Scan("raises-at-3", checker, items(), "{}")
-    check = harness._scan_check(scan, map)
+    check = harness._scan_check(map, "raises-at-3", checker, items(), "{}")
     assert check == Check("raises-at-3", False, "item 4 raised ZeroDivisionError: integer division or modulo by zero")
     assert drawn == [0, 1, 2, 3]
 
@@ -496,10 +494,28 @@ def test_a_checker_that_raises_stop_iteration_fails_its_check():
     # the same failed check in this process as in a pool's workers, not a
     # scan that passes on its first three items
     want = Check("x", False, "item 4 raised StopIteration: ")
-    assert harness._scan_check(harness._Scan("x", stops_at_three, range(10), "all {} items"), map) == want
+    assert harness._scan_check(map, "x", stops_at_three, range(10), "all {} items") == want
     with harness._Pool(2) as pool:
         imap = functools.partial(pool.imap, chunksize=4)
-        assert harness._scan_check(harness._Scan("x", stops_at_three, range(10), "all {} items"), imap) == want
+        assert harness._scan_check(imap, "x", stops_at_three, range(10), "all {} items") == want
+
+
+def five_ones_then_a_raise():
+    yield from [(1,)] * 5
+    raise ValueError("bad item")
+
+
+def test_items_that_raise_fail_at_the_same_place_for_any_chunk_size():
+    # the feed reads the items in this process and ends at their exception,
+    # which a pool's imap would pin on the first item of the chunk it was
+    # building: item 1 with chunks of 8, item 5 with chunks of 4
+    want = Check("x", False, "item 6 raised ValueError: bad item")
+    assert harness._scan_check(map, "x", does_not_start_with_one, five_ones_then_a_raise(), "{}") == want
+    with harness._Pool(2) as pool:
+        for chunksize in (1, 4, 8):
+            imap = functools.partial(pool.imap, chunksize=chunksize)
+            check = harness._scan_check(imap, "x", does_not_start_with_one, five_ones_then_a_raise(), "{}")
+            assert check == want, chunksize
 
 
 def test_triple_keys_tell_every_triple_apart():
@@ -596,9 +612,48 @@ def test_a_pools_workers_read_every_mark(monkeypatch):
     assert funcs.count(harness._check_tlp_roundtrip) == 6
 
 
+def test_roundtrip_past_its_caps_reads_the_same_with_any_pool(monkeypatch):
+    # with the caps lowered, n = 6 runs no fv or history scan past n3/len2,
+    # marks and reverse-scans the triples only to n4, and streams the forward
+    # scans of n5 and n6 unmarked; the checks are the same in this process,
+    # in a real pool of two workers and in one whose checkers go through pickle
+    monkeypatch.setattr(harness, "TLP_ENUM_LIMIT", 4)
+    monkeypatch.setattr(harness, "FULL_SCAN_LIMIT", 3)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    want = run_suite("roundtrip", 6, jobs=1).checks
+    assert all(c.passed for c in want)
+    assert [c.label for c in want] == [
+        *(f"fv-roundtrip-n{m}" for m in range(1, 4)),
+        *(f"history-roundtrip-len{length}" for length in range(3)),
+        *(
+            label
+            for m in range(1, 7)
+            for label in (f"gamma-prime-roundtrip-n{m}", f"psi-roundtrip-n{m}", f"tlp-roundtrip-n{m}")
+            if m <= 4 or not label.startswith("tlp-")
+        ),
+    ]
+    assert run_suite("roundtrip", 6, jobs=2).checks == want
+    monkeypatch.setattr(harness, "_Pool", PicklingPool)
+    PicklingPool.checkers.clear()
+    assert run_suite("roundtrip", 6, jobs=2).checks == want
+    # the pool's checkers in order: the forward scans of n1..n4 mark in this
+    # process, and psi-roundtrip checks the whole trip from n4 on
+    got = [(getattr(c, "__name__", None) or c.func.__name__, getattr(c, "args", ())) for c in PicklingPool.checkers]
+    assert [name for name, _ in got] == [
+        *["_check_fv"] * 3,
+        *["_check_history_in_image"] * 3,
+        *["_check_phi_roundtrip", "_check_tlp_roundtrip"] * 3,
+        "_check_psi_roundtrip",
+        "_check_tlp_roundtrip",
+        *["_check_gamma_prime_roundtrip", "_check_psi_roundtrip"] * 2,
+    ]
+    assert [args for name, args in got if name == "_check_gamma_prime_roundtrip"] == [(None,), (None,)]
+
+
 def test_the_history_count_holds_with_a_pool(monkeypatch, recording_pool):
-    # the reverse history scan and psi-roundtrip read which checks passed,
-    # not a worker's own state, so a pool computes no inverse more often
+    # the reverse history scan and psi-roundtrip read the suite's own
+    # fv-roundtrip verdicts, not a worker's state, so a pool computes no
+    # inverse more often
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     calls = _count_inverse_calls(monkeypatch)
     counts = []
@@ -649,29 +704,35 @@ def test_psi_roundtrip_on_a_full_level_still_checks_the_phi_pair(monkeypatch):
 
 def _suite_marks(n):
     """The levels of marks that roundtrip's reverse scans up to n would read:
-    the suite's own marking scans run, its other scans are left unrun."""
+    the suite's own marking scans run, a stub runs its other scans, which
+    records the checker of each tlp-roundtrip and passes without a look."""
     levels = []
-    for row in harness._suite_roundtrip(n, set()):
-        if isinstance(row, Check):
-            assert row.passed, row
-        elif row.label.startswith("tlp-roundtrip-"):
-            levels.append(row.checker.args[0])
+
+    def scan(label, checker, items, ok_detail):
+        if label.startswith("tlp-roundtrip-"):
+            levels.append(checker.args[0])
+        return Check(label, True, "not run")
+
+    for check in harness._suite_roundtrip(n, scan):
+        assert check.passed, check
     return levels
 
 
 def test_round_trip_marks_keep_bits_not_keys():
-    # the traced memory that the marks of B_1..B_8 keep, per permutation,
-    # with every level kept, after a warm-up pass that leaves out one-time
-    # allocations: 7.8 bytes with the bitmaps on Python 3.11 (7.6-8.1 on
-    # 3.10-3.13 while a module dict held them), and 107-110 with a set of
-    # int ranks per level, 134-138 with a set of bytes keys in their place
-    assert len(_suite_marks(8)) == 8
+    # the memory that harness.py's own lines allocated and still hold once
+    # the marks of B_1..B_8 are made, per permutation, with every level
+    # kept: 2.2-3.6 bytes with the bitmaps on Python 3.11, against 104-106
+    # with a set of int ranks per level and 132-134 with a set of bytes keys
+    # in their place.  The filter leaves out what iter_baxter's tuples leave
+    # in the allocator, which a measure of the whole pass read as 5-50 bytes
     tracemalloc.start()
     try:
         levels = _suite_marks(8)
-        kept = tracemalloc.get_traced_memory()[0]
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    own = snapshot.filter_traces([tracemalloc.Filter(True, harness.__file__)])
+    kept = sum(trace.size for trace in own.traces)
     assert len(levels) == 8
     assert kept / 10754 < 30
 
